@@ -30,7 +30,8 @@ from .passage import (OuQuery, PathFunctional, conditional_samples,
                       estimate_conditional, oracle_rejection,
                       scaling_report)
 from .reporting import (default_outdir, format_cell, jump_path_to_csv_rows,
-                        kv_lines, profile_to_csv_rows, write_csv)
+                        kv_lines, profile_to_csv_rows, write_csv,
+                        write_csv_columns)
 from .rng import RngStream
 
 __all__ = ["main"]
@@ -123,9 +124,10 @@ def _cmd_ou_estimate(args):
                     detection=args.detection)
     if args.dump:
         table = conditional_samples(query, workers=args.workers)
-        write_csv(args.dump,
-                  ["replica_id", "hit_time", "integral_sq", "log_weight", "payoff"],
-                  table.rows())
+        write_csv_columns(args.dump,
+                          ["replica_id", "hit_time", "integral_sq", "log_weight",
+                           "payoff"],
+                          table.columns())
         rep = importance_estimate(payoffs=table.payoffs,
                                   log_weights=table.log_weights)
     else:

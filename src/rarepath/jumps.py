@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (BoundViolation, ExplosionSuspected, InvalidArgument,
                      InvalidIntensity)
@@ -300,6 +299,8 @@ def compensator(path: JumpPath, g: IntensityFn, t: float,
     if g.kind == "state":
         rates = _intensity_on_states(g, path)[: k + 1]
         return float(np.sum(rates * np.diff(edges)))
+    from scipy import integrate
+
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         if b <= a:

@@ -130,7 +130,7 @@ class PathFunctional:
             if len(v) < 2:
                 return 0.0
             first_gap = duration - (len(v) - 2) * h
-            occ = _occ_cell(v[0], v[1], self.level) * first_gap
+            occ = _occ_cell(v[:1], v[1:2], self.level)[0] * first_gap
             occ += float(np.sum(_occ_cell(v[1:-1], v[2:], self.level)) * h)
             return min(occ, self.cap)
         val = float(self.fn(excursion, duration))
@@ -140,11 +140,20 @@ class PathFunctional:
 
 
 def _occ_cell(a, b, level):
-    """Fraction of a linear cell from a to b lying above ``level``."""
+    """Fraction of linear cells from a to b (arrays) lying above ``level``.
+
+    ``(hi - level) / span`` clipped to [0, 1]: 0 where ``hi <= level``
+    and 1 where ``lo >= level``, for every cell whose span is 0 or at
+    least the 1e-300 floor that guards the division.
+    """
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    span = np.maximum(hi - lo, 1e-300)
-    return np.where(hi <= level, 0.0, np.where(lo >= level, 1.0, (hi - level) / span))
+    span = hi - lo
+    np.maximum(span, 1e-300, out=span)
+    frac = np.subtract(hi, level, out=hi)
+    frac /= span
+    np.maximum(frac, 0.0, out=frac)
+    return np.minimum(frac, 1.0, out=frac)
 
 
 @dataclass(frozen=True)
@@ -269,158 +278,220 @@ def sample_reversed_bridge(stream: RngStream, level: int, step: float,
 # lane-parallel engines
 
 
+def _coin_exp(arg, draws):
+    """exp(arg) in place, for comparison with uniform ``draws``.
+
+    Unless a draw is exactly 0.0, arg is first clipped to [-700, 0], which
+    keeps exp off its slow path near underflow and changes no comparison
+    ``draw < p`` or ``draw < p + q``: nonzero draws lie in [2**-53, 1),
+    exp(-700) is below them and is absorbed in any sum that can reach
+    one, and exp(0) = 1 exceeds them all.
+    """
+    if draws.all():
+        np.clip(arg, -700.0, 0.0, out=arg)
+    with np.errstate(over="ignore"):
+        return np.exp(arg, out=arg)
+
+
 def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps):
-    """One batch of reversed-excursion draws; streaming accumulators only."""
+    """One batch of reversed-excursion draws; streaming accumulators only.
+
+    Alive-lane state is kept compacted in lane order (``ids`` holds each
+    position's lane) and is compacted only on steps where some lane stops;
+    per-lane results are written by lane id when a lane crosses 1 or stops.
+    """
     N = float(level)
     sq = math.sqrt(h)
     track_occ = occ_level is not None
     L = occ_level if track_occ else 0.0
+    bridge = detection == "bridge"
 
-    b = np.zeros((lanes, 3))
-    xprev = np.full(lanes, N)
-    occ_all = np.zeros(lanes)
-    int_sq = np.zeros(lanes)
     xi = np.full(lanes, np.nan)
     occ_at_xi = np.full(lanes, np.nan)
     t0 = np.full(lanes, np.nan)
     logw = np.full(lanes, np.nan)
-    alive = np.arange(lanes)
+    ids = np.arange(lanes)
+    b = np.zeros((lanes, 3))
+    x = np.full(lanes, N)
+    xm1 = x - 1.0   # carried x - 1 and x^2 of the previous step
+    x2 = x * x
+    int_sq = np.zeros(lanes)
+    occ = np.zeros(lanes)
     steps_done = 0
     step = 0
-    while alive.size:
+    while ids.size:
         step += 1
         if step > max_steps:
             raise HorizonExpiredError("lane exceeded the horizon cap")
-        z = gen.standard_normal((alive.size, 3))
-        if detection == "bridge":
-            u0 = gen.random(alive.size)
-            u1 = gen.random(alive.size)
-        xa = xprev[alive]
-        bn = b[alive] + sq * z
-        xn = N - np.sqrt(np.einsum("ij,ij->i", bn, bn))
-        steps_done += alive.size
-        int_sq[alive] += 0.5 * h * (xa * xa + xn * xn)
+        n = ids.size
+        z = gen.standard_normal((n, 3))
+        if bridge:
+            u0 = gen.random(n)
+            u1 = gen.random(n)
+        z *= sq
+        b += z
+        xn = np.einsum("ij,ij->i", b, b)
+        np.sqrt(xn, out=xn)
+        np.subtract(N, xn, out=xn)
+        steps_done += n
+        xn2 = xn * xn
+        x2 += xn2
+        x2 *= 0.5 * h
+        int_sq += x2
         if track_occ:
-            occ_all[alive] += _occ_cell(xa, xn, L) * h
+            cell = _occ_cell(x, xn, L)
+            cell *= h
+            occ += cell
 
-        sign_chg = ((xa - 1.0) * (xn - 1.0) < 0.0) | (xn == 1.0)
-        if detection == "bridge":
-            same = ~sign_chg
-            with np.errstate(over="ignore"):
-                p1 = np.where(same, np.exp(-2.0 * np.abs(xa - 1.0) * np.abs(xn - 1.0) / h), 0.0)
-            cross1 = sign_chg | (same & (u1 < p1))
+        xnm1 = xn - 1.0
+        sign_chg = xm1 * xnm1 < 0.0
+        sign_chg |= xn == 1.0
+        if bridge:
+            # the coin only matters where the sign did not change
+            p1 = np.abs(xm1)
+            p1 *= -2.0
+            p1 *= np.abs(xnm1)
+            p1 /= h
+            cross1 = sign_chg | (u1 < _coin_exp(p1, u1))
         else:
             cross1 = sign_chg
-        if np.any(cross1):
-            idx = alive[cross1]
-            fp, fn = xa[cross1], xn[cross1]
-            sc = sign_chg[cross1]
+        if cross1.any():
+            c = np.flatnonzero(cross1)
+            fp, fn = x[c], xn[c]
             with np.errstate(invalid="ignore", divide="ignore"):
                 frac_sc = np.where(fn == 1.0, 1.0, (1.0 - fp) / (fn - fp))
-            frac = np.where(sc, frac_sc, 0.5)
-            xi[idx] = (step - 1) * h + frac * h
+            frac = np.where(sign_chg[c], frac_sc, 0.5)
+            lane = ids[c]
+            xi[lane] = (step - 1) * h + frac * h
             if track_occ:
-                occ_at_xi[idx] = (occ_all[idx]
-                                  - _occ_cell(fp, fn, L) * h
-                                  + _occ_cell(fp, np.ones_like(fp), L) * frac * h)
+                occ_at_xi[lane] = (occ[c]
+                                   - _occ_cell(fp, fn, L) * h
+                                   + _occ_cell(fp, np.ones_like(fp), L) * frac * h)
 
-        hit_g = xn <= 0.0
-        if detection == "bridge":
-            with np.errstate(over="ignore"):
-                p0 = np.where(hit_g, 0.0, np.exp(-2.0 * np.maximum(xa, 0.0) * np.maximum(xn, 0.0) / h))
-            hit = hit_g | (~hit_g & (u0 < p0))
-        else:
-            hit = hit_g
-        if np.any(hit):
-            idx = alive[hit]
-            fp, fn = xa[hit], xn[hit]
-            hg = hit_g[hit]
-            frac = np.where(hg, fp / np.where(hg, fp - fn, 1.0), 0.5)
-            tr = (step - 1) * h + frac * h
-            t0[idx] = tr
-            int_sq[idx] += -0.5 * h * (fp * fp + fn * fn) + 0.5 * (frac * h) * (fp * fp)
-            logw[idx] = 0.5 * (N * N + tr - int_sq[idx])
-            # guard: a lane stopping without a recorded level-1 visit can
-            # only happen if the final cell itself straddles 1
-            miss = np.isnan(xi[idx])
-            if np.any(miss):
-                sel = idx[miss]
-                fpm = fp[miss]
-                fnm = np.where(hg[miss], fn[miss], 0.0)
-                f1 = (fpm - 1.0) / np.maximum(fpm - fnm, 1e-300)
-                xi[sel] = (step - 1) * h + f1 * h
-                if track_occ:
-                    occ_at_xi[sel] = occ_all[sel] - _occ_cell(fpm, fnm, L) * h \
-                        + _occ_cell(fpm, np.ones_like(fpm), L) * f1 * h
+        hit = xn <= 0.0
+        if bridge:
+            # alive lanes have x > 0, and the coin only matters where xn > 0
+            p0 = x * -2.0
+            p0 *= xn
+            p0 /= h
+            hit |= u0 < _coin_exp(p0, u0)
+        if not hit.any():
+            x, xm1, x2 = xn, xnm1, xn2
+            continue
+        s = np.flatnonzero(hit)
+        fp, fn = x[s], xn[s]
+        hg = fn <= 0.0
+        frac = np.where(hg, fp / np.where(hg, fp - fn, 1.0), 0.5)
+        tr = (step - 1) * h + frac * h
+        lane = ids[s]
+        t0[lane] = tr
+        int_sq_hit = int_sq[s] + (-0.5 * h * (fp * fp + fn * fn) + 0.5 * (frac * h) * (fp * fp))
+        logw[lane] = 0.5 * (N * N + tr - int_sq_hit)
+        # guard: a lane stopping without a recorded level-1 visit can
+        # only happen if the final cell itself straddles 1
+        miss = np.isnan(xi[lane])
+        if np.any(miss):
+            sel = lane[miss]
+            fpm = fp[miss]
+            fnm = np.where(hg[miss], fn[miss], 0.0)
+            f1 = (fpm - 1.0) / np.maximum(fpm - fnm, 1e-300)
+            xi[sel] = (step - 1) * h + f1 * h
+            if track_occ:
+                occ_at_xi[sel] = occ[s][miss] - _occ_cell(fpm, fnm, L) * h \
+                    + _occ_cell(fpm, np.ones_like(fpm), L) * f1 * h
 
-        b[alive] = bn
-        xprev[alive] = xn
-        alive = alive[~hit]
+        keep = ~hit
+        ids, b, int_sq = ids[keep], b.compress(keep, axis=0), int_sq[keep]
+        x, xm1, x2 = xn[keep], xnm1[keep], xn2[keep]
+        if track_occ:
+            occ = occ[keep]
     return xi, t0, occ_at_xi, logw, steps_done
 
 
 def _rej_batch(gen, lanes, level, h, occ_level, detection, max_steps):
-    """One batch of naive OU rejection attempts from 1 between 0 and level."""
+    """One batch of naive OU rejection attempts from 1 between 0 and level.
+
+    Alive-lane state is kept compacted as in :func:`_is_batch`.
+    """
     N = float(level)
     sq = math.sqrt(h)
     a_coef = 1.0 - h
     track_occ = occ_level is not None
     L = occ_level if track_occ else 0.0
+    bridge = detection == "bridge"
 
-    x = np.ones(lanes)
-    occ = np.zeros(lanes)
     dur = np.full(lanes, np.nan)
     hit_up = np.zeros(lanes, dtype=bool)
-    alive = np.arange(lanes)
+    occ_out = np.zeros(lanes)
+    ids = np.arange(lanes)
+    x = np.ones(lanes)
+    occ = np.zeros(lanes)
     steps_done = 0
     step = 0
-    while alive.size:
+    while ids.size:
         step += 1
         if step > max_steps:
             raise HorizonExpiredError("lane exceeded the horizon cap")
-        z = gen.standard_normal(alive.size)
-        if detection == "bridge":
-            u = gen.random(alive.size)
-        xa = x[alive]
-        xn = a_coef * xa + sq * z
-        steps_done += alive.size
-        up_g = xn >= N
-        dn_g = xn <= 0.0
-        if detection == "bridge":
-            ok = ~(up_g | dn_g)
-            with np.errstate(over="ignore"):
-                p_dn = np.where(ok, np.exp(-2.0 * np.maximum(xa, 0.0) * np.maximum(xn, 0.0) / h), 0.0)
-                p_up = np.where(ok, np.exp(-2.0 * np.maximum(N - xa, 0.0) * np.maximum(N - xn, 0.0) / h), 0.0)
-            dn_b = ok & (u < p_dn)
-            up_b = ok & ~dn_b & (u < p_dn + p_up)
+        n = ids.size
+        z = gen.standard_normal(n)
+        if bridge:
+            u = gen.random(n)
+        z *= sq
+        xn = a_coef * x
+        xn += z
+        steps_done += n
+        if bridge:
+            # alive lanes have 0 < x < level; where xn leaves that range a
+            # coin probability is >= 1, which keeps the grid verdict
+            p_dn = x * -2.0
+            p_dn *= xn
+            p_dn /= h
+            p_up = np.subtract(N, x)
+            p_up *= -2.0
+            p_up *= N - xn
+            p_up /= h
+            _coin_exp(p_dn, u)
+            _coin_exp(p_up, u)
+            done = u < p_dn
+            p_up += p_dn
+            up = ~done
+            up &= u < p_up
+            up |= xn >= N
+            done |= up
         else:
-            dn_b = up_b = np.zeros(alive.size, dtype=bool)
-        up = up_g | up_b
-        done = up | dn_g | dn_b
+            up = xn >= N
+            done = up | (xn <= 0.0)
 
         if track_occ:
-            inc = _occ_cell(xa, xn, L) * h
-        if np.any(done):
-            d = done
-            fp, fn = xa[d], xn[d]
-            ug = up_g[d]
-            dg = dn_g[d]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                frac = np.where(ug, (N - fp) / (fn - fp),
-                                np.where(dg, fp / (fp - fn), 0.5))
-            idx = alive[d]
-            dur[idx] = (step - 1) * h + frac * h
-            hit_up[idx] = up[d]
+            inc = _occ_cell(x, xn, L)
+            inc *= h
+        if not done.any():
             if track_occ:
-                # replace the full-cell increment with the partial cell to
-                # the snapped terminal value
-                term = np.where(up[d], N, 0.0)
-                inc[d] = _occ_cell(fp, term, L) * frac * h
+                occ += inc
+            x = xn
+            continue
+        d = np.flatnonzero(done)
+        fp, fn = x[d], xn[d]
+        ug = fn >= N
+        dg = fn <= 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            frac = np.where(ug, (N - fp) / (fn - fp),
+                            np.where(dg, fp / (fp - fn), 0.5))
+        lane = ids[d]
+        dur[lane] = (step - 1) * h + frac * h
+        hit_up[lane] = up[d]
         if track_occ:
-            occ[alive] += inc
-        x[alive] = xn
-        alive = alive[~done]
-    return hit_up, dur, occ, steps_done
+            # replace the full-cell increment with the partial cell to
+            # the snapped terminal value
+            term = np.where(up[d], N, 0.0)
+            inc[d] = _occ_cell(fp, term, L) * frac * h
+            occ += inc
+            occ_out[lane] = occ[d]
+        keep = ~done
+        ids, x = ids[keep], xn[keep]
+        if track_occ:
+            occ = occ[keep]
+    return hit_up, dur, occ_out, steps_done
 
 
 def _run_batched(total, worker_count, batch_fn):
@@ -498,11 +569,10 @@ class ConditionalSamples:
     payoffs: np.ndarray
     total_time_units: float
 
-    def rows(self):
-        """(replica_id, hit_time, integral_sq, log_weight, payoff) rows."""
-        for r in range(len(self.log_weights)):
-            yield [r, self.hit_times[r], self.integrals_sq[r],
-                   self.log_weights[r], self.payoffs[r]]
+    def columns(self):
+        """(replica_id, hit_time, integral_sq, log_weight, payoff) columns."""
+        return [np.arange(len(self.log_weights)), self.hit_times,
+                self.integrals_sq, self.log_weights, self.payoffs]
 
 
 def conditional_samples(query: OuQuery, workers: int = 1) -> ConditionalSamples:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InvalidArgument, LevelNeverReached
 from .rng import RngStream
@@ -149,12 +148,6 @@ def simulate_brownian(stream: RngStream, dim: int, step: float,
         inc = gen.standard_normal((n_steps, dim)) * math.sqrt(step)
         vals = np.vstack([np.zeros(dim), np.cumsum(inc, axis=0)])
     return ContinuousPath(step=step, values=vals, dim=dim)
-
-
-def _bridge_coin(u, d_before, d_after, step):
-    """True where a uniform draw detects a sub-step barrier touch."""
-    p = np.exp(-2.0 * np.maximum(d_before, 0.0) * np.maximum(d_after, 0.0) / step)
-    return u < p
 
 
 def _ou_block(x, a, sq, z):
@@ -381,6 +374,8 @@ def _scale_log(y: float) -> float:
     """log of integral_0^y exp(u^2) du, computed overflow-free."""
     if y == 0.0:
         return -math.inf
+    from scipy import integrate
+
     # substitute v = y - u:  integral = exp(y^2) * int_0^y exp(-v(2y - v)) dv
     g, _ = integrate.quad(lambda v: math.exp(-v * (2.0 * y - v)), 0.0, y,
                           epsabs=1e-14, epsrel=1e-12, limit=200)

@@ -1,5 +1,8 @@
 import os
+import subprocess
+import sys
 
+import rarepath
 from rarepath.cli import main
 
 
@@ -149,3 +152,13 @@ def test_workers_do_not_change_scaling(tmp_path):
     assert _read(out1) == _read(out2)
     assert _read(out1).decode().splitlines()[0] == \
         "N,is_cost,rejection_cost_per_effective,ratio"
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # quadrature is imported where it is used, so start-up stays cheap
+    src = os.path.dirname(os.path.dirname(rarepath.__file__))
+    code = ("import sys, rarepath.cli; rarepath.cli.build_parser(); "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,13 +1,14 @@
 import numpy as np
+import pytest
 
 from rarepath import (ContinuousPath, FiniteChain, JumpPath, WeightedSample,
                       simulate_brownian, RngStream)
 from rarepath.lattice import ChainPath, stationary_distribution
-from rarepath.reporting import (chain_to_csv_rows, finite_chain_from_csv,
-                                finite_chain_to_csv, format_cell,
-                                jump_path_to_csv_rows, kv_lines,
+from rarepath.reporting import (CSV_CHUNK_ROWS, chain_to_csv_rows,
+                                finite_chain_from_csv, finite_chain_to_csv,
+                                format_cell, jump_path_to_csv_rows, kv_lines,
                                 path_to_csv_rows, weighted_samples_to_csv_rows,
-                                write_csv)
+                                write_csv, write_csv_columns)
 
 
 def test_format_cell_shapes():
@@ -25,6 +26,20 @@ def test_write_csv_is_byte_stable(tmp_path):
     write_csv(p2, ["i", "x", "s"], rows)
     assert p1.read_bytes() == p2.read_bytes()
     assert b"0.30000000000000004" in p1.read_bytes()
+
+
+@pytest.mark.parametrize("n", [0, 5, 2 * CSV_CHUNK_ROWS + 3])
+def test_write_csv_columns_matches_write_csv(tmp_path, n):
+    gen = np.random.default_rng(3)
+    x = gen.standard_normal(n) * 10.0 ** gen.integers(-300, 300, n)
+    x[:5] = [-0.0, np.nan, np.inf, -np.inf, 0.1][:n]
+    columns = [np.arange(n), x, -np.arange(n) * 7, gen.random(n) < 0.5,
+               np.full(n, 2.0)]
+    header = ["replica_id", "x", "negative", "flag", "two"]
+    by_rows, by_columns = tmp_path / "rows.csv", tmp_path / "columns.csv"
+    write_csv(by_rows, header, zip(*columns))
+    write_csv_columns(by_columns, header, columns)
+    assert by_columns.read_bytes() == by_rows.read_bytes()
 
 
 def test_path_rows():
