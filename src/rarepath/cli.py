@@ -45,8 +45,6 @@ def _parse_functional(spec: str) -> PathFunctional:
             return PathFunctional.capped_duration(float(parts[1]))
         if kind == "occupation-above":
             return PathFunctional.occupation_above(float(parts[1]), float(parts[2]))
-        if kind == "running-max":
-            return PathFunctional.running_max(float(parts[1]) if len(parts) > 1 else math.inf)
         if kind == "indicator":
             return PathFunctional.indicator()
     except (IndexError, ValueError) as exc:
@@ -401,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--step", type=float, default=None)
     sp.add_argument("--functional", type=str, default="capped-duration:50",
                     help="capped-duration:CAP | occupation-above:LEVEL:CAP | "
-                         "running-max[:CAP] | indicator")
+                         "indicator")
     sp.add_argument("--detection", choices=("grid", "bridge"), default="bridge")
     sp.add_argument("--dump", type=str, default=None,
                     help="also write the per-replica sample table (replica_id, hit_time, integral_sq, log_weight, payoff) to this CSV")

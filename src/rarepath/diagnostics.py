@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidArgument
+from .paths import bridge_touch_probability
 from .rng import RngStream
 
 __all__ = [
@@ -334,11 +335,7 @@ def inverse_bessel_family(step: float, n_grid=(8, 16, 32), t_grid=(1.0,),
                 eps = 1.0 / n
                 hit = rn <= eps
                 if detection == "bridge":
-                    da = np.maximum(r - eps, 0.0)
-                    db = np.maximum(rn - eps, 0.0)
-                    with np.errstate(over="ignore"):
-                        p = np.where(hit, 1.0, np.exp(-2.0 * da * db / step))
-                    hit = hit | (u < p)
+                    hit |= u < bridge_touch_probability(r - eps, rn - eps, step, u)
                 frozen[n] |= hit
             r = rn
         raw = 1.0 / np.maximum(r, 1e-300)

@@ -94,9 +94,6 @@ class BirthDeathKernel:
             raise InvalidArgument(f"up probability {p} outside [0, 1] at state {k}")
         return p
 
-    def up_array(self, ks: np.ndarray) -> np.ndarray:
-        return np.array([self.up(int(k)) for k in np.asarray(ks)])
-
 
 @dataclass(frozen=True)
 class ChainPath:

@@ -9,9 +9,12 @@ with the explicit density
 
     ``exp((level^2 + T0' - int_0^{T0'} X'(s)^2 ds) / 2)``
 
-normalized by its sample mean.  A naive rejection sampler over Euler OU
-paths serves as the brute-force oracle, and a cost-scaling experiment
-contrasts the two as the level grows.
+normalized by its sample mean.  One lane-parallel engine draws these
+excursions: built-in functionals are accumulated while it runs, and a
+custom functional or :func:`sample_reversed_bridge` has it record each
+lane's path and rebuild the reversed excursion afterwards.  A naive
+rejection sampler over Euler OU paths serves as the brute-force oracle,
+and a cost-scaling experiment contrasts the two as the level grows.
 
 Both routes share the step size and the barrier-detection mode, so the
 residual discretization error largely cancels in comparisons.  The
@@ -31,8 +34,8 @@ import numpy as np
 
 from .densities import EstimatorReport, importance_estimate
 from .errors import HorizonExpiredError, InvalidArgument, ZeroAcceptance
-from .paths import (HORIZON_CAP, ContinuousPath, Hit, ReversedExcursion,
-                    ou_scale_ratio, simulate_bessel3_complement)
+from .paths import (HORIZON_CAP, ContinuousPath, ReversedExcursion,
+                    bridge_touch_probability, ou_scale_ratio)
 from .rng import RngStream
 
 __all__ = [
@@ -54,8 +57,6 @@ LANES_PER_BATCH = 65536
 # substream purposes, so different drivers never share draws at one seed
 _P_REJ = 11
 _P_IS = 12
-_P_SCALAR = 13
-_P_COST = 14
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +75,7 @@ class PathFunctional:
     cap.
     """
 
-    kind: str  # 'capped-duration' | 'occupation-above' | 'running-max' | 'indicator' | 'custom'
+    kind: str  # 'capped-duration' | 'occupation-above' | 'indicator' | 'custom'
     cap: float
     level: Optional[float] = None
     fn: Optional[Callable] = None
@@ -92,11 +93,6 @@ class PathFunctional:
         if cap <= 0.0:
             raise InvalidArgument("cap must be positive")
         return PathFunctional("occupation-above", cap=float(cap), level=float(level))
-
-    @staticmethod
-    def running_max(cap: float = math.inf) -> "PathFunctional":
-        """min(max of the segment, cap)."""
-        return PathFunctional("running-max", cap=float(cap))
 
     @staticmethod
     def indicator() -> "PathFunctional":
@@ -122,8 +118,6 @@ class PathFunctional:
             return 1.0
         if self.kind == "capped-duration":
             return min(duration, self.cap)
-        if self.kind == "running-max":
-            return min(float(np.max(excursion.segment.values)), self.cap)
         if self.kind == "occupation-above":
             v = np.asarray(excursion.segment.values, dtype=float)
             h = excursion.segment.step
@@ -201,100 +195,18 @@ class BridgeSample:
 
 
 # ---------------------------------------------------------------------------
-# scalar route
-
-
-def _int_sq_partial(values, h, j, t_ref):
-    """Trapezoid of value^2 over full cells up to grid index j, plus the
-    partial cell from j to the terminal zero at t_ref."""
-    v = np.asarray(values[: j + 1], dtype=float)
-    sq = v * v
-    full = 0.5 * h * float(np.sum(sq[:-1] + sq[1:]))
-    return full + 0.5 * (t_ref - j * h) * sq[-1]
-
-
-def sample_reversed_bridge(stream: RngStream, level: int, step: float,
-                           detection: str = "bridge") -> BridgeSample:
-    """Draw one reversed excursion with its importance weight.
-
-    Runs ``X' = level - |B|`` to its hit of 0, integrates the squared
-    path to the refined hit time, finds the last visit of 1 (with
-    post-hoc sub-step touch coins in bridge mode, drawn from a disjoint
-    substream), and reverses the prefix.
-    """
-    if level < 2:
-        raise InvalidArgument("level must be >= 2")
-    seg = simulate_bessel3_complement(stream, float(level), step,
-                                      detection=detection)
-    if seg.hit is not Hit.LOWER:
-        raise HorizonExpiredError("path did not reach 0 before the horizon cap")
-    v = np.asarray(seg.path.values, dtype=float)
-    h = step
-    t0 = seg.stop_time_refined
-    j = seg.stop_index - 1
-    int_sq = _int_sq_partial(v, h, j, t0)
-
-    # last visit of level 1: latest grid crossing, possibly superseded by a
-    # sub-step touch coin in a later cell (coins are exchangeable with the
-    # forward construction because sub-step touches are conditionally
-    # independent across cells given the skeleton)
-    d = v[: seg.stop_index + 1] - 1.0
-    exact = d == 0.0
-    change = np.zeros(len(d), dtype=bool)
-    change[1:] = d[:-1] * d[1:] < 0.0
-    hits = np.flatnonzero(exact | change)
-    if hits.size == 0:
-        raise InvalidArgument("path never crossed level 1 (level < 2?)")
-    kc = int(hits[-1])
-    if exact[kc]:
-        xi = kc * h
-        j_before = kc - 1 if kc > 0 else 0
-    else:
-        frac = (1.0 - v[kc - 1]) / (v[kc] - v[kc - 1])
-        xi = (kc - 1) * h + frac * h
-        j_before = kc - 1
-    if detection == "bridge":
-        gen = stream.generator(1)  # disjoint from the simulation substream
-        for k in range(seg.stop_index, kc, -1):
-            da = v[k - 1] - 1.0
-            db = v[k] - 1.0
-            if da * db <= 0.0:
-                continue
-            if gen.random() < math.exp(-2.0 * abs(da) * abs(db) / h):
-                xi = (k - 1) * h + 0.5 * h
-                j_before = k - 1
-                break
-
-    exc_values = np.concatenate([[1.0], v[j_before::-1]])
-    excursion = ReversedExcursion(
-        segment=ContinuousPath(step=h, values=exc_values),
-        origin_time=xi, level=1.0)
-    log_w = 0.5 * (level * level + t0 - int_sq)
-    return BridgeSample(excursion=excursion, hit_time=t0, integral_sq=int_sq,
-                        log_weight=log_w, last_visit_time=xi)
-
-
-# ---------------------------------------------------------------------------
 # lane-parallel engines
 
 
-def _coin_exp(arg, draws):
-    """exp(arg) in place, for comparison with uniform ``draws``.
+def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
+              record=False):
+    """One batch of reversed-excursion draws.
 
-    Unless a draw is exactly 0.0, arg is first clipped to [-700, 0], which
-    keeps exp off its slow path near underflow and changes no comparison
-    ``draw < p`` or ``draw < p + q``: nonzero draws lie in [2**-53, 1),
-    exp(-700) is below them and is absorbed in any sum that can reach
-    one, and exp(0) = 1 exceeds them all.
-    """
-    if draws.all():
-        np.clip(arg, -700.0, 0.0, out=arg)
-    with np.errstate(over="ignore"):
-        return np.exp(arg, out=arg)
-
-
-def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps):
-    """One batch of reversed-excursion draws; streaming accumulators only.
+    Returns per-lane last-visit times of 1, hit times of 0, occupation up
+    to the last visit, log weights, and the lane-step count; with
+    ``record`` also each lane's :class:`ReversedExcursion` (see
+    :func:`_replay_excursions`).  Recording draws nothing and changes no
+    other output.
 
     Alive-lane state is kept compacted in lane order (``ids`` holds each
     position's lane) and is compacted only on steps where some lane stops;
@@ -310,6 +222,8 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps):
     occ_at_xi = np.full(lanes, np.nan)
     t0 = np.full(lanes, np.nan)
     logw = np.full(lanes, np.nan)
+    last_cell = np.full(lanes, -1)   # grid cell of the last crossing of 1
+    rec = [] if record else None
     ids = np.arange(lanes)
     b = np.zeros((lanes, 3))
     x = np.full(lanes, N)
@@ -333,6 +247,8 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps):
         xn = np.einsum("ij,ij->i", b, b)
         np.sqrt(xn, out=xn)
         np.subtract(N, xn, out=xn)
+        if record:
+            rec.append([xn, None])
         steps_done += n
         xn2 = xn * xn
         x2 += xn2
@@ -348,11 +264,7 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps):
         sign_chg |= xn == 1.0
         if bridge:
             # the coin only matters where the sign did not change
-            p1 = np.abs(xm1)
-            p1 *= -2.0
-            p1 *= np.abs(xnm1)
-            p1 /= h
-            cross1 = sign_chg | (u1 < _coin_exp(p1, u1))
+            cross1 = sign_chg | (u1 < bridge_touch_probability(xm1, xnm1, h, u1))
         else:
             cross1 = sign_chg
         if cross1.any():
@@ -363,6 +275,7 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps):
             frac = np.where(sign_chg[c], frac_sc, 0.5)
             lane = ids[c]
             xi[lane] = (step - 1) * h + frac * h
+            last_cell[lane] = step - 1
             if track_occ:
                 occ_at_xi[lane] = (occ[c]
                                    - _occ_cell(fp, fn, L) * h
@@ -370,11 +283,7 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps):
 
         hit = xn <= 0.0
         if bridge:
-            # alive lanes have x > 0, and the coin only matters where xn > 0
-            p0 = x * -2.0
-            p0 *= xn
-            p0 /= h
-            hit |= u0 < _coin_exp(p0, u0)
+            hit |= u0 < bridge_touch_probability(x, xn, h, u0)
         if not hit.any():
             x, xm1, x2 = xn, xnm1, xn2
             continue
@@ -396,16 +305,54 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps):
             fnm = np.where(hg[miss], fn[miss], 0.0)
             f1 = (fpm - 1.0) / np.maximum(fpm - fnm, 1e-300)
             xi[sel] = (step - 1) * h + f1 * h
+            last_cell[sel] = step - 1
             if track_occ:
                 occ_at_xi[sel] = occ[s][miss] - _occ_cell(fpm, fnm, L) * h \
                     + _occ_cell(fpm, np.ones_like(fpm), L) * f1 * h
 
+        if record:
+            rec[-1][1] = s
         keep = ~hit
         ids, b, int_sq = ids[keep], b.compress(keep, axis=0), int_sq[keep]
         x, xm1, x2 = xn[keep], xnm1[keep], xn2[keep]
         if track_occ:
             occ = occ[keep]
+    if record:
+        return (xi, t0, occ_at_xi, logw, steps_done,
+                _replay_excursions(rec, N, h, last_cell, xi))
     return xi, t0, occ_at_xi, logw, steps_done
+
+
+def _replay_excursions(rec, level, h, cell, xi):
+    """Rebuild each lane's reversed excursion from a batch's records.
+
+    ``rec`` holds, per step, the compacted ``xn`` and the positions that
+    stopped on that step (or None); replaying the compaction maps each
+    position to its lane.  Lane ``i`` gets the values
+    ``[1, x_c, ..., x_1, level]`` with ``c = cell[i]`` the grid cell of
+    its last crossing of 1, as views into one buffer; ``rec`` is emptied
+    on the way.
+    """
+    size = cell + 2
+    end = np.cumsum(size)
+    start = end - size
+    top = end - 1   # where each lane's x_0 goes; x_k sits k places lower
+    flat = np.empty(int(end[-1]))
+    flat[start] = 1.0
+    flat[top] = level
+    for k in range(1, len(rec) + 1):
+        xk, stopped = rec[k - 1]
+        rec[k - 1] = None
+        want = cell >= k
+        if not want.any():
+            break
+        flat[top[want] - k] = xk[want]
+        if stopped is not None:
+            top, cell = np.delete(top, stopped), np.delete(cell, stopped)
+    rec.clear()
+    return [ReversedExcursion(segment=ContinuousPath(step=h, values=flat[a:b]),
+                              origin_time=t, level=1.0)
+            for a, b, t in zip(start.tolist(), end.tolist(), xi.tolist())]
 
 
 def _rej_batch(gen, lanes, level, h, occ_level, detection, max_steps):
@@ -442,16 +389,9 @@ def _rej_batch(gen, lanes, level, h, occ_level, detection, max_steps):
         steps_done += n
         if bridge:
             # alive lanes have 0 < x < level; where xn leaves that range a
-            # coin probability is >= 1, which keeps the grid verdict
-            p_dn = x * -2.0
-            p_dn *= xn
-            p_dn /= h
-            p_up = np.subtract(N, x)
-            p_up *= -2.0
-            p_up *= N - xn
-            p_up /= h
-            _coin_exp(p_dn, u)
-            _coin_exp(p_up, u)
+            # coin probability is 1, which keeps the grid verdict
+            p_dn = bridge_touch_probability(x, xn, h, u)
+            p_up = bridge_touch_probability(N - x, N - xn, h, u)
             done = u < p_dn
             p_up += p_dn
             up = ~done
@@ -509,12 +449,14 @@ def _run_batched(total, worker_count, batch_fn):
         return list(pool.map(lambda im: batch_fn(*im), enumerate(sizes)))
 
 
-def _run_is(seed, level, h, replicas, occ_level, detection, workers):
+def _run_is(seed, level, h, replicas, occ_level, detection, workers,
+            record=False):
     max_steps = int(HORIZON_CAP / h)
 
     def one(i, m):
         gen = RngStream(seed).generator(_P_IS, i)
-        return _is_batch(gen, m, level, h, occ_level, detection, max_steps)
+        return _is_batch(gen, m, level, h, occ_level, detection, max_steps,
+                         record)
 
     parts = _run_batched(replicas, workers, one)
     xi = np.concatenate([p[0] for p in parts])
@@ -522,6 +464,8 @@ def _run_is(seed, level, h, replicas, occ_level, detection, workers):
     occ = np.concatenate([p[2] for p in parts])
     logw = np.concatenate([p[3] for p in parts])
     steps = sum(p[4] for p in parts)
+    if record:
+        return xi, t0, occ, logw, steps, [e for p in parts for e in p[5]]
     return xi, t0, occ, logw, steps
 
 
@@ -540,15 +484,11 @@ def _run_rej(seed, level, h, attempts, occ_level, detection, workers):
     return hit, dur, occ, steps
 
 
-def _payoffs_from_accumulators(functional, level, dur, occ):
+def _payoffs_from_accumulators(functional, dur, occ):
     if functional.kind == "capped-duration":
         return np.minimum(dur, functional.cap)
     if functional.kind == "occupation-above":
         return np.minimum(occ, functional.cap)
-    if functional.kind == "running-max":
-        # the segment starts (reversed clock) at the level exactly and
-        # never exceeds it; the oracle's terminal value snaps to the level
-        return np.full(dur.shape, min(float(level), functional.cap))
     if functional.kind == "indicator":
         return np.ones(dur.shape)
     raise InvalidArgument("streaming engines support built-in kinds only")
@@ -575,40 +515,53 @@ class ConditionalSamples:
                 self.integrals_sq, self.log_weights, self.payoffs]
 
 
+def sample_reversed_bridge(stream: RngStream, level: int, step: float,
+                           detection: str = "bridge") -> BridgeSample:
+    """Draw one reversed excursion with its importance weight.
+
+    A one-lane run of the engine behind :func:`estimate_conditional`,
+    drawing from ``stream.generator()``: ``X' = level - |B|`` runs to its
+    hit of 0, the squared path is integrated to the refined hit time, and
+    the prefix up to the last visit of 1 is reversed.
+    """
+    OuQuery(level, PathFunctional.indicator(), 1, step, 0, detection)  # validates
+    xi, t0, _occ, logw, _steps, (exc,) = _is_batch(
+        stream.generator(), 1, level, step, None, detection,
+        int(HORIZON_CAP / step), record=True)
+    lvl = float(level)
+    return BridgeSample(excursion=exc, hit_time=float(t0[0]),
+                        integral_sq=float(lvl * lvl + t0[0] - 2.0 * logw[0]),
+                        log_weight=float(logw[0]), last_visit_time=float(xi[0]))
+
+
 def conditional_samples(query: OuQuery, workers: int = 1) -> ConditionalSamples:
-    """Draw the per-replica sample table behind :func:`estimate_conditional`."""
+    """Draw the per-replica sample table behind :func:`estimate_conditional`.
+
+    Every functional runs on the same engine batches and draws; a custom
+    one has the engine record each lane's reversed excursion and is
+    evaluated on them in lane order, on the calling thread.
+    """
     f = query.functional
-    if f.kind == "custom":
-        samples = [sample_reversed_bridge(RngStream(query.seed, r + 1),
-                                          query.level, query.step,
-                                          detection=query.detection)
-                   for r in range(query.replicas)]
-        payoffs = np.array([f.evaluate(s.excursion, s.last_visit_time)
-                            for s in samples])
-        logw = np.array([s.log_weight for s in samples])
-        t0 = np.array([s.hit_time for s in samples])
-        int_sq = np.array([s.integral_sq for s in samples])
-        total_tu = float(t0.sum())
+    xi, t0, occ, logw, steps, *excursions = _run_is(
+        query.seed, query.level, query.step, query.replicas, f.level,
+        query.detection, workers, record=f.kind == "custom")
+    if excursions:
+        payoffs = np.array([f.evaluate(e, e.origin_time) for e in excursions[0]])
     else:
-        xi, t0, occ, logw, steps = _run_is(query.seed, query.level, query.step,
-                                           query.replicas, f.level,
-                                           query.detection, workers)
-        payoffs = _payoffs_from_accumulators(f, query.level, xi, occ)
-        lvl = float(query.level)
-        int_sq = lvl * lvl + t0 - 2.0 * logw
-        total_tu = steps * query.step
-    return ConditionalSamples(hit_times=t0, integrals_sq=int_sq,
+        payoffs = _payoffs_from_accumulators(f, xi, occ)
+    lvl = float(query.level)
+    return ConditionalSamples(hit_times=t0, integrals_sq=lvl * lvl + t0 - 2.0 * logw,
                               log_weights=logw, payoffs=payoffs,
-                              total_time_units=total_tu)
+                              total_time_units=steps * query.step)
 
 
 def estimate_conditional(query: OuQuery, workers: int = 1) -> EstimatorReport:
     """Self-normalized reweighted estimate of
     ``E[f(path up to the level hit) | level hit before 0]``.
 
-    Built-in functionals stream through the lane-parallel engine; a
-    custom functional falls back to per-replica scalar sampling (slower,
-    same law up to sub-step tie-breaking).  The report carries the
+    Every functional runs on the lane-parallel engine with the same
+    draws: built-in ones are accumulated as the lanes run, a custom one
+    is evaluated on the recorded excursions.  The report carries the
     effective sample size and weight-tail diagnostics; with fewer than
     two replicas the standard error is the infinity sentinel.
     """
@@ -648,7 +601,7 @@ def oracle_rejection(query: OuQuery, workers: int = 1) -> EstimatorReport:
     n_acc = int(np.sum(hit))
     if n_acc == 0:
         raise ZeroAcceptance("no attempt reached the level before 0")
-    payoffs = _payoffs_from_accumulators(f, query.level, dur[hit], occ[hit])
+    payoffs = _payoffs_from_accumulators(f, dur[hit], occ[hit])
     est = float(np.mean(payoffs))
     se = float(np.std(payoffs, ddof=1) / math.sqrt(n_acc)) if n_acc > 1 else math.inf
     acc_rate = n_acc / query.replicas

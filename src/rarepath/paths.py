@@ -13,9 +13,11 @@ interpolation; sub-grid excursions across a barrier are missed, which
 biases hitting probabilities by O(sqrt(step)).  ``"bridge"`` additionally
 flips, per step, a coin with the Brownian-bridge probability
 ``exp(-2*d_before*d_after/step)`` that the barrier was touched inside the
-step, which reduces the detection bias to O(step).  Bridge-detected stops
-snap the final path value to the barrier and place the refined crossing
-time at the middle of the offending step.
+step, which reduces the detection bias to O(step).  Every simulator and
+lane engine in the package takes that probability from
+:func:`bridge_touch_probability`.  Bridge-detected stops snap the final
+path value to the barrier and place the refined crossing time at the
+middle of the offending step.
 """
 
 import enum
@@ -32,6 +34,7 @@ __all__ = [
     "ContinuousPath",
     "StoppedSegment",
     "ReversedExcursion",
+    "bridge_touch_probability",
     "simulate_brownian",
     "simulate_ou_stopped",
     "simulate_bessel3_complement",
@@ -129,6 +132,26 @@ class ReversedExcursion:
 # simulators
 
 
+def bridge_touch_probability(d_a, d_b, step, draws):
+    """Probability that a Brownian bridge over one step touches a barrier.
+
+    ``d_a`` and ``d_b`` (arrays) are the signed distances to the barrier
+    at the start and end of the step, positive on the side the path came
+    from; the result is ``exp(-2*d_a*d_b/step)``, and exactly 1 where
+    ``d_a*d_b <= 0``.  ``draws`` are the uniforms the result is compared
+    with.  Unless one of them is exactly 0.0 the exponent is clipped at
+    -700, which keeps exp off its slow path near underflow and changes no
+    comparison ``draw < p`` or ``draw < p + q``: nonzero draws lie in
+    [2**-53, 1), exp(-700) is below them and is absorbed in any sum that
+    can reach one.
+    """
+    arg = d_a * -2.0
+    arg *= d_b
+    arg /= step
+    np.clip(arg, -700.0 if draws.all() else -np.inf, 0.0, out=arg)
+    return np.exp(arg, out=arg)
+
+
 def simulate_brownian(stream: RngStream, dim: int, step: float,
                       horizon: float) -> ContinuousPath:
     """Standard Brownian path from the origin on a uniform grid.
@@ -211,9 +234,8 @@ def simulate_ou_stopped(stream: RngStream, x0: float, step: float,
         if detection == "bridge":
             u = gen.random(m)
             ok = ~(up | dn)
-            with np.errstate(over="ignore"):
-                p_lo = np.where(ok, np.exp(-2.0 * (xprev - lower) * (xs - lower) / step), 0.0)
-                p_up = np.where(ok, np.exp(-2.0 * (upper - xprev) * (upper - xs) / step), 0.0)
+            p_lo = bridge_touch_probability(xprev - lower, xs - lower, step, u)
+            p_up = bridge_touch_probability(upper - xprev, upper - xs, step, u)
             dn_b = ok & (u < p_lo)
             up_b = ok & ~dn_b & (u < p_lo + p_up)
         else:
@@ -279,9 +301,7 @@ def simulate_bessel3_complement(stream: RngStream, level: float, step: float,
         hit = xs <= 0.0
         if detection == "bridge":
             u = gen.random(m)
-            with np.errstate(over="ignore"):
-                p0 = np.where(hit, 0.0, np.exp(-2.0 * np.maximum(xprev, 0.0) * np.maximum(xs, 0.0) / step))
-            hit_b = ~hit & (u < p0)
+            hit_b = ~hit & (u < bridge_touch_probability(xprev, xs, step, u))
         else:
             hit_b = np.zeros(m, dtype=bool)
         done = hit | hit_b

@@ -8,6 +8,7 @@ from rarepath import (ContinuousPath, InvalidArgument, OuQuery, PathFunctional,
                       ReversedExcursion, RngStream, ZeroAcceptance,
                       estimate_conditional, oracle_rejection, ou_scale_ratio,
                       sample_reversed_bridge, scaling_report)
+from rarepath import passage
 from rarepath.passage import (_P_IS, _P_REJ, BridgeSample, _is_batch,
                               _occ_cell, _rej_batch, _run_is, _run_rej)
 from rarepath.paths import HORIZON_CAP
@@ -34,12 +35,6 @@ def test_functional_capped_duration():
     assert f.evaluate(_synthetic_excursion(), 1.3) == 1.0
     f2 = PathFunctional.capped_duration(50.0)
     assert f2.evaluate(_synthetic_excursion(), 1.3) == 1.3
-
-
-def test_functional_running_max():
-    f = PathFunctional.running_max()
-    assert f.evaluate(_synthetic_excursion(), 1.3) == 2.0
-    assert PathFunctional.running_max(1.5).evaluate(_synthetic_excursion(), 1.3) == 1.5
 
 
 def test_functional_occupation_straddle():
@@ -141,6 +136,64 @@ def test_estimate_custom_functional_slow_route():
     assert rep.n_samples == 60
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_custom_functional_reproduces_builtin(monkeypatch, workers):
+    # small batches, so that two workers really split the replicas
+    monkeypatch.setattr(passage, "LANES_PER_BATCH", 64)
+    reports = []
+    for f in (PathFunctional.custom(lambda exc, dur: min(dur, 50.0), 50.0),
+              PathFunctional.capped_duration(50.0)):
+        q = OuQuery(level=2, functional=f, replicas=200, step=4e-3, seed=17)
+        reports.append(estimate_conditional(q, workers=workers))
+    custom, builtin = reports
+    assert custom.estimate == builtin.estimate
+    assert custom.stderr == builtin.stderr
+    assert custom.ess == builtin.ess
+    assert custom.extras["total_time_units"] == builtin.extras["total_time_units"]
+
+
+@pytest.mark.parametrize("detection", ["grid", "bridge"])
+def test_recorded_excursions_match_streamed_payoffs(detection):
+    h, level = 4e-3, 3
+    xi, _t0, occ, _logw, _steps, excursions = _is_batch(
+        RngStream(3).generator(_P_IS, 0), 512, level, h, 1.5, detection,
+        int(HORIZON_CAP / h), record=True)
+    f = PathFunctional.occupation_above(1.5, 50.0)
+    assert len(excursions) == 512
+    for i, exc in enumerate(excursions):
+        v = exc.segment.values
+        assert v[0] == 1.0 and v[-1] == level
+        assert exc.origin_time == xi[i]
+        # the last crossing of 1 lies in the cell ending at the second value
+        assert (len(v) - 2) * h <= xi[i] <= (len(v) - 1) * h * (1 + 1e-12)
+        assert f.evaluate(exc, exc.origin_time) == pytest.approx(min(occ[i], 50.0), abs=1e-12)
+
+
+def test_recorded_excursions_match_reference_paths():
+    # grid detection draws one (alive, 3) normal block per step and
+    # nothing else, so a plain per-lane loop over the same draws rebuilds
+    # every path; each recorded excursion is its prefix up to the last
+    # crossing of 1, reversed, behind the snapped value 1
+    h, level, lanes = 4e-3, 2, 64
+    *_, excursions = _is_batch(RngStream(5).generator(_P_IS, 0), lanes, level,
+                               h, None, "grid", int(HORIZON_CAP / h), record=True)
+    gen = RngStream(5).generator(_P_IS, 0)
+    b = np.zeros((lanes, 3))
+    paths = [[float(level)] for _ in range(lanes)]
+    alive = np.arange(lanes)
+    while alive.size:
+        b[alive] += gen.standard_normal((alive.size, 3)) * math.sqrt(h)
+        x = level - np.sqrt(np.einsum("ij,ij->i", b[alive], b[alive]))
+        for lane, v in zip(alive, x):
+            paths[lane].append(v)
+        alive = alive[x > 0.0]
+    for path, exc in zip(paths, excursions):
+        d = np.array(path) - 1.0
+        k = np.flatnonzero((d[:-1] * d[1:] < 0.0) | (d[1:] == 0.0))[-1]
+        want = np.concatenate([[1.0], path[k::-1]])
+        assert np.array_equal(exc.segment.values, want)
+
+
 def test_oracle_acceptance_matches_quadrature():
     q = OuQuery(level=2, functional=PathFunctional.capped_duration(50.0),
                 replicas=100000, step=1e-3, seed=19)
@@ -239,12 +292,24 @@ _ENGINE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("engine,detection,occ_level,level", list(_ENGINE_DIGESTS))
-def test_engine_outputs_pinned(engine, detection, occ_level, level):
+# the IS rows run a second time with path recording on, which must leave
+# every output unchanged
+_PINNED_CASES = (
+    [pytest.param(*key, False, id="-".join(map(str, key))) for key in _ENGINE_DIGESTS]
+    + [pytest.param(*key, True, id="-".join(map(str, key)) + "-record")
+       for key in _ENGINE_DIGESTS if key[0] == "is"])
+
+
+@pytest.mark.parametrize("engine,detection,occ_level,level,record", _PINNED_CASES)
+def test_engine_outputs_pinned(engine, detection, occ_level, level, record):
     batch, purpose = {"is": (_is_batch, _P_IS), "rej": (_rej_batch, _P_REJ)}[engine]
     h = 4e-3
+    extra = (True,) if record else ()
     out = batch(RngStream(1).generator(purpose, 0), 4096, level, h, occ_level,
-                detection, int(HORIZON_CAP / h))
+                detection, int(HORIZON_CAP / h), *extra)
+    if record:
+        assert len(out[-1]) == 4096
+        out = out[:-1]
     digest = hashlib.sha256()
     for arr in out[:-1]:
         digest.update(arr.tobytes())

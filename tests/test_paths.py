@@ -9,7 +9,8 @@ from rarepath import (ContinuousPath, Hit, InvalidArgument, LevelNeverReached,
                       RngStream, ou_scale_ratio, path_integral_square,
                       reversed_last_excursion, simulate_bessel3_complement,
                       simulate_brownian, simulate_ou_stopped)
-from rarepath.paths import StoppedSegment, ou_scale_ratio_log
+from rarepath.paths import (StoppedSegment, bridge_touch_probability,
+                            ou_scale_ratio_log)
 
 # frozen by independent quadrature of the chi density with 3 degrees of
 # freedom: mean = 2*sqrt(2/pi)
@@ -208,3 +209,30 @@ def test_continuous_path_validation():
     p = ContinuousPath(step=0.5, values=np.arange(4.0))
     assert p.duration == 1.5
     assert np.array_equal(p.times, [0.0, 0.5, 1.0, 1.5])
+
+
+_distance = st.floats(min_value=-50.0, max_value=50.0)
+
+
+@given(_distance, _distance, _distance, _distance,
+       st.floats(min_value=1e-5, max_value=1.0),
+       st.floats(min_value=2.0 ** -53, max_value=1.0, exclude_max=True))
+@settings(max_examples=300, deadline=None)
+def test_bridge_touch_probability_properties(da, db, dc, dd, step, u):
+    def touch(a, b, draw):
+        return bridge_touch_probability(np.array([a]), np.array([b]), step,
+                                        np.array([draw]))[0]
+
+    p, q = touch(da, db, u), touch(dc, dd, u)
+    assert p == touch(db, da, u)
+    if da * db <= 0.0:
+        assert p == 1.0 and touch(da, db, 0.0) == 1.0
+    with np.errstate(over="ignore"):
+        p_ref = np.exp(-2.0 * da * db / step)
+        q_ref = np.exp(-2.0 * dc * dd / step)
+    # the clip at -700 changes no comparison with a nonzero draw, alone or
+    # in the shared-uniform sum of the two-barrier coin
+    assert (u < p) == (u < p_ref)
+    assert (u < p + q) == (u < p_ref + q_ref)
+    if da * db > 0.0:
+        assert touch(da, db, 0.0) == p_ref  # a zero draw turns the clip off
