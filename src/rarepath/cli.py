@@ -108,7 +108,7 @@ def _emit(path, header, rows, summary_pairs):
     sys.stdout.write(f"report={path}\n")
 
 
-def _report_rows(report, fields):
+def _report_rows(fields):
     return [[k, format_cell(v)] for k, v in fields]
 
 
@@ -137,7 +137,7 @@ def _cmd_ou_estimate(args):
         ("top1_weight_share", rep.extras["top1_weight_share"]),
     ]
     _emit(_out_path(args, "ou_estimate.csv"), ["field", "value"],
-          _report_rows(rep, fields), fields)
+          _report_rows(fields), fields)
     return 0
 
 
@@ -155,7 +155,7 @@ def _cmd_ou_oracle(args):
         ("step", args.step), ("seed", args.seed),
     ]
     _emit(_out_path(args, "ou_oracle.csv"), ["field", "value"],
-          _report_rows(rep, fields), fields)
+          _report_rows(fields), fields)
     return 0
 
 

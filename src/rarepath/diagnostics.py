@@ -303,19 +303,18 @@ def clamped_drift_family(mu: Callable, step: float, dim: int = 1,
                             t_grid=tuple(t_grid), simulate_multi=simulate_multi)
 
 
-def inverse_bessel_family(step: float, n_grid=(8, 16, 32), t_grid=(1.0,),
-                          detection: str = "bridge") -> MartingaleFamily:
+def inverse_bessel_family(step: float, n_grid=(8, 16, 32),
+                          t_grid=(1.0,)) -> MartingaleFamily:
     """Negative control: the reciprocal distance of a 3-d Brownian motion
     started one unit from the origin.
 
     The raw process is a strict local martingale (its mean decays below
     one), so tails of the stopped members never vanish; member ``n``
     freezes the value at ``n`` the first time the distance drops to
-    ``1/n`` (sub-step dips caught by bridge coins in bridge mode).  The
-    draw exposes the raw time-``t`` value as the limit process.
+    ``1/n``, sub-step dips included by bridge coins (grid detection alone
+    misses most of the stopped mass at practical steps).  The draw
+    exposes the raw time-``t`` value as the limit process.
     """
-    if detection not in ("grid", "bridge"):
-        raise InvalidArgument("detection must be 'grid' or 'bridge'")
     n_grid = tuple(n_grid)
 
     def simulate_multi(stream: RngStream, t: float, size: int):
@@ -328,14 +327,13 @@ def inverse_bessel_family(step: float, n_grid=(8, 16, 32), t_grid=(1.0,),
         frozen = {n: np.zeros(size, dtype=bool) for n in n_grid}
         for k in range(steps):
             z = gen.standard_normal((size, 3))
-            u = gen.random(size) if detection == "bridge" else None
+            u = gen.random(size)
             pos += sq * z
             rn = np.sqrt(np.einsum("ij,ij->i", pos, pos))
             for n in n_grid:
                 eps = 1.0 / n
                 hit = rn <= eps
-                if detection == "bridge":
-                    hit |= u < bridge_touch_probability(r - eps, rn - eps, step, u)
+                hit |= u < bridge_touch_probability(r - eps, rn - eps, step, u)
                 frozen[n] |= hit
             r = rn
         raw = 1.0 / np.maximum(r, 1e-300)

@@ -434,10 +434,9 @@ def first_return_ruin(kernel: BirthDeathKernel, top: int) -> float:
     """Probability that the walk started at ``top`` reaches 0 before
     returning to ``top`` (first step included in the excursion)."""
     chain = _birth_death_to_finite(kernel, top)
-    up = kernel.up(top)
-    p_up = 0.0  # from top, an up-move leaves [0, top]; treat as immediate return
+    # from top an up-move leaves [0, top] and counts as an immediate return
     p_down = hit_probability(chain, top - 1, hit={0}, avoid={top})
-    return up * p_up + (1.0 - up) * p_down
+    return (1.0 - kernel.up(top)) * p_down
 
 
 def _birth_death_to_finite(kernel: BirthDeathKernel, k_max: int) -> FiniteChain:

@@ -35,7 +35,8 @@ import numpy as np
 from .densities import EstimatorReport, importance_estimate
 from .errors import HorizonExpiredError, InvalidArgument, ZeroAcceptance
 from .paths import (HORIZON_CAP, ContinuousPath, ReversedExcursion,
-                    bridge_touch_probability, ou_scale_ratio)
+                    bridge_touch_probability, crossing_fraction,
+                    ou_scale_ratio)
 from .rng import RngStream
 
 __all__ = [
@@ -270,9 +271,7 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
         if cross1.any():
             c = np.flatnonzero(cross1)
             fp, fn = x[c], xn[c]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                frac_sc = np.where(fn == 1.0, 1.0, (1.0 - fp) / (fn - fp))
-            frac = np.where(sign_chg[c], frac_sc, 0.5)
+            frac = crossing_fraction(fp, fn, 1.0, sign_chg[c])
             lane = ids[c]
             xi[lane] = (step - 1) * h + frac * h
             last_cell[lane] = step - 1
@@ -290,7 +289,7 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
         s = np.flatnonzero(hit)
         fp, fn = x[s], xn[s]
         hg = fn <= 0.0
-        frac = np.where(hg, fp / np.where(hg, fp - fn, 1.0), 0.5)
+        frac = crossing_fraction(fp, fn, 0.0, hg)
         tr = (step - 1) * h + frac * h
         lane = ids[s]
         t0[lane] = tr
@@ -303,7 +302,7 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
             sel = lane[miss]
             fpm = fp[miss]
             fnm = np.where(hg[miss], fn[miss], 0.0)
-            f1 = (fpm - 1.0) / np.maximum(fpm - fnm, 1e-300)
+            f1 = crossing_fraction(fpm, fnm, 1.0, True)
             xi[sel] = (step - 1) * h + f1 * h
             last_cell[sel] = step - 1
             if track_occ:
@@ -412,18 +411,14 @@ def _rej_batch(gen, lanes, level, h, occ_level, detection, max_steps):
             continue
         d = np.flatnonzero(done)
         fp, fn = x[d], xn[d]
-        ug = fn >= N
-        dg = fn <= 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            frac = np.where(ug, (N - fp) / (fn - fp),
-                            np.where(dg, fp / (fp - fn), 0.5))
+        term = np.where(up[d], N, 0.0)   # the barrier each lane stopped at
+        frac = crossing_fraction(fp, fn, term, (fn >= N) | (fn <= 0.0))
         lane = ids[d]
         dur[lane] = (step - 1) * h + frac * h
         hit_up[lane] = up[d]
         if track_occ:
             # replace the full-cell increment with the partial cell to
             # the snapped terminal value
-            term = np.where(up[d], N, 0.0)
             inc[d] = _occ_cell(fp, term, L) * frac * h
             occ += inc
             occ_out[lane] = occ[d]

@@ -8,16 +8,17 @@ and their parameters: identical inputs give bitwise-identical paths.
 Barrier handling
 ----------------
 Two detection modes are supported.  ``"grid"`` stops at the first grid
-point at or past a barrier and refines the crossing time by linear
-interpolation; sub-grid excursions across a barrier are missed, which
-biases hitting probabilities by O(sqrt(step)).  ``"bridge"`` additionally
-flips, per step, a coin with the Brownian-bridge probability
-``exp(-2*d_before*d_after/step)`` that the barrier was touched inside the
-step, which reduces the detection bias to O(step).  Every simulator and
-lane engine in the package takes that probability from
-:func:`bridge_touch_probability`.  Bridge-detected stops snap the final
-path value to the barrier and place the refined crossing time at the
-middle of the offending step.
+point at or past a barrier; sub-grid excursions across a barrier are
+missed, which biases hitting probabilities by O(sqrt(step)).
+``"bridge"`` additionally flips, per step, a coin with the Brownian-bridge
+probability ``exp(-2*d_before*d_after/step)`` that the barrier was touched
+inside the step, which reduces the detection bias to O(step).  Two
+primitives carry this rule for every simulator and lane engine in the
+package: :func:`bridge_touch_probability` gives the coin's probability and
+:func:`crossing_fraction` places the crossing inside its step, by linear
+interpolation for a grid stop and at mid-step for a coin stop.  A grid
+stop keeps its overshoot value; a coin stop snaps the final path value to
+the barrier.
 """
 
 import enum
@@ -35,6 +36,7 @@ __all__ = [
     "StoppedSegment",
     "ReversedExcursion",
     "bridge_touch_probability",
+    "crossing_fraction",
     "simulate_brownian",
     "simulate_ou_stopped",
     "simulate_bessel3_complement",
@@ -152,6 +154,20 @@ def bridge_touch_probability(d_a, d_b, step, draws):
     return np.exp(arg, out=arg)
 
 
+def crossing_fraction(a, b, barrier, grid):
+    """Fraction of a step from ``a`` to ``b`` at which a path crosses
+    ``barrier``.
+
+    Where ``grid`` holds (``b`` is at or past the barrier) the crossing is
+    interpolated linearly, ``(barrier - a)/(b - a)``, exactly 1 where
+    ``b == barrier``; elsewhere a bridge coin stopped the path and the
+    crossing sits at mid-step, 0.5.  Arguments broadcast as arrays.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.subtract(barrier, a) / np.subtract(b, a)
+    return np.where(grid, np.where(b == barrier, 1.0, frac), 0.5)
+
+
 def simulate_brownian(stream: RngStream, dim: int, step: float,
                       horizon: float) -> ContinuousPath:
     """Standard Brownian path from the origin on a uniform grid.
@@ -185,6 +201,55 @@ def _ou_block(x, a, sq, z):
     return powers * x + powers * s
 
 
+def _stopped_path(gen, x0, step, lower, upper, horizon, detection, extend,
+                  block_len, advance):
+    """Blocked stopping loop behind the scalar simulators.
+
+    ``advance(x, m)`` draws and returns the ``m`` path values that follow
+    the value ``x``.  Each block then draws its coin uniforms (bridge
+    mode) and stops at the first grid point at or past ``lower`` or
+    ``upper``, or at the first coin; the path expires at the horizon as
+    described in :func:`simulate_ou_stopped`.
+    """
+    limit = HORIZON_CAP if extend else min(horizon, HORIZON_CAP)
+    max_steps = max(int(math.floor(limit / step)), 1)
+    chunks = [np.array([x0])]
+    x = x0
+    k = 0
+    while k < max_steps:
+        m = min(block_len, max_steps - k)
+        xs = advance(x, m)
+        xprev = np.concatenate([[x], xs[:-1]])
+        up = xs >= upper
+        grid = up | (xs <= lower)
+        done = grid
+        if detection == "bridge":
+            u = gen.random(m)
+            p_lo = bridge_touch_probability(xprev - lower, xs - lower, step, u)
+            p_up = bridge_touch_probability(upper - xprev, upper - xs, step, u)
+            dn_b = ~grid & (u < p_lo)
+            up_b = ~grid & ~dn_b & (u < p_lo + p_up)
+            up |= up_b
+            done = grid | dn_b | up_b
+        if done.any():
+            j = int(np.argmax(done))
+            hit, barrier = (Hit.UPPER, upper) if up[j] else (Hit.LOWER, lower)
+            frac = float(crossing_fraction(xprev[j], xs[j], barrier, grid[j]))
+            if not grid[j]:
+                xs[j] = barrier
+            chunks.append(xs[: j + 1])
+            vals = np.concatenate(chunks)
+            idx = len(vals) - 1
+            return StoppedSegment(ContinuousPath(step=step, values=vals),
+                                  idx, hit, (idx - 1) * step + frac * step)
+        chunks.append(xs)
+        x = xs[-1]
+        k += m
+    vals = np.concatenate(chunks)
+    return StoppedSegment(ContinuousPath(step=step, values=vals),
+                          len(vals) - 1, Hit.EXPIRED, (len(vals) - 1) * step)
+
+
 def simulate_ou_stopped(stream: RngStream, x0: float, step: float,
                         lower: float, upper: float,
                         horizon: float = math.inf,
@@ -207,61 +272,19 @@ def simulate_ou_stopped(stream: RngStream, x0: float, step: float,
     if detection not in ("grid", "bridge"):
         raise InvalidArgument("detection must be 'grid' or 'bridge'")
 
-    if x0 >= upper:
+    if x0 >= upper or x0 <= lower:
         path = ContinuousPath(step=step, values=np.array([x0]))
-        return StoppedSegment(path, 0, Hit.UPPER, 0.0)
-    if x0 <= lower:
-        path = ContinuousPath(step=step, values=np.array([x0]))
-        return StoppedSegment(path, 0, Hit.LOWER, 0.0)
+        return StoppedSegment(path, 0, Hit.UPPER if x0 >= upper else Hit.LOWER, 0.0)
 
     gen = stream.generator()
     a = 1.0 - step
     sq = math.sqrt(step)
-    limit = HORIZON_CAP if extend else min(horizon, HORIZON_CAP)
-    max_steps = max(int(math.floor(limit / step)), 1)
-    block_len = min(_BLOCK, max(64, int(8.0 / step)))
 
-    chunks = [np.array([x0])]
-    x = x0
-    k = 0
-    while k < max_steps:
-        m = min(block_len, max_steps - k)
-        z = gen.standard_normal(m)
-        xs = _ou_block(x, a, sq, z)
-        xprev = np.concatenate([[x], xs[:-1]])
-        up = xs >= upper
-        dn = xs <= lower
-        if detection == "bridge":
-            u = gen.random(m)
-            ok = ~(up | dn)
-            p_lo = bridge_touch_probability(xprev - lower, xs - lower, step, u)
-            p_up = bridge_touch_probability(upper - xprev, upper - xs, step, u)
-            dn_b = ok & (u < p_lo)
-            up_b = ok & ~dn_b & (u < p_lo + p_up)
-        else:
-            dn_b = up_b = np.zeros(m, dtype=bool)
-        done = up | dn | dn_b | up_b
-        if np.any(done):
-            j = int(np.argmax(done))
-            hit = Hit.UPPER if (up[j] or up_b[j]) else Hit.LOWER
-            if up[j]:
-                frac = (upper - xprev[j]) / (xs[j] - xprev[j])
-            elif dn[j]:
-                frac = (xprev[j] - lower) / (xprev[j] - xs[j])
-            else:
-                frac = 0.5
-                xs[j] = upper if up_b[j] else lower
-            chunks.append(xs[: j + 1])
-            vals = np.concatenate(chunks)
-            idx = len(vals) - 1
-            return StoppedSegment(ContinuousPath(step=step, values=vals),
-                                  idx, hit, (idx - 1) * step + frac * step)
-        chunks.append(xs)
-        x = xs[-1]
-        k += m
-    vals = np.concatenate(chunks)
-    return StoppedSegment(ContinuousPath(step=step, values=vals),
-                          len(vals) - 1, Hit.EXPIRED, (len(vals) - 1) * step)
+    def advance(x, m):
+        return _ou_block(x, a, sq, gen.standard_normal(m))
+
+    return _stopped_path(gen, x0, step, lower, upper, horizon, detection,
+                         extend, min(_BLOCK, max(64, int(8.0 / step))), advance)
 
 
 def simulate_bessel3_complement(stream: RngStream, level: float, step: float,
@@ -272,9 +295,10 @@ def simulate_bessel3_complement(stream: RngStream, level: float, step: float,
 
     The radial norm of three-dimensional Brownian motion from the origin
     is transient, so the stopped time is a.s. finite; the process starts
-    at ``level`` exactly.  With ``extend`` the horizon doubles up to
-    :data:`HORIZON_CAP` (the recommended "infinite horizon" semantics);
-    otherwise expiry is flagged and the caller decides.
+    at ``level`` exactly.  With ``extend`` the simulation runs past
+    ``horizon`` up to :data:`HORIZON_CAP` (the recommended "infinite
+    horizon" semantics); otherwise expiry is flagged and the caller
+    decides.
     """
     if level <= 0.0:
         raise InvalidArgument("level must be positive")
@@ -285,45 +309,18 @@ def simulate_bessel3_complement(stream: RngStream, level: float, step: float,
 
     gen = stream.generator()
     sq = math.sqrt(step)
-    limit = HORIZON_CAP if extend else min(horizon, HORIZON_CAP)
-    max_steps = max(int(math.floor(limit / step)), 1)
-
     b = np.zeros(3)
-    x = level
-    chunks = [np.array([level])]
-    k = 0
-    while k < max_steps:
-        m = min(_BLOCK, max_steps - k)
-        z = gen.standard_normal((m, 3))
-        bs = b + sq * np.cumsum(z, axis=0)
-        xs = level - np.sqrt(np.einsum("ij,ij->i", bs, bs))
-        xprev = np.concatenate([[x], xs[:-1]])
-        hit = xs <= 0.0
-        if detection == "bridge":
-            u = gen.random(m)
-            hit_b = ~hit & (u < bridge_touch_probability(xprev, xs, step, u))
-        else:
-            hit_b = np.zeros(m, dtype=bool)
-        done = hit | hit_b
-        if np.any(done):
-            j = int(np.argmax(done))
-            if hit[j]:
-                frac = xprev[j] / (xprev[j] - xs[j])
-            else:
-                frac = 0.5
-                xs[j] = 0.0
-            chunks.append(xs[: j + 1])
-            vals = np.concatenate(chunks)
-            idx = len(vals) - 1
-            return StoppedSegment(ContinuousPath(step=step, values=vals),
-                                  idx, Hit.LOWER, (idx - 1) * step + frac * step)
-        chunks.append(xs)
+
+    def advance(_x, m):
+        nonlocal b
+        bs = b + sq * np.cumsum(gen.standard_normal((m, 3)), axis=0)
         b = bs[-1]
-        x = xs[-1]
-        k += m
-    vals = np.concatenate(chunks)
-    return StoppedSegment(ContinuousPath(step=step, values=vals),
-                          len(vals) - 1, Hit.EXPIRED, (len(vals) - 1) * step)
+        return level - np.sqrt(np.einsum("ij,ij->i", bs, bs))
+
+    # no upper barrier: its grid test never fires and its coin probability
+    # (exp(-700) or 0) lies below every draw
+    return _stopped_path(gen, level, step, 0.0, math.inf, horizon, detection,
+                         extend, _BLOCK, advance)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +355,7 @@ def reversed_last_excursion(seg: StoppedSegment, level: float) -> ReversedExcurs
     if exact[kc]:
         t_ref = kc * h
     else:
-        frac = (level - v[kc - 1]) / (v[kc] - v[kc - 1])
+        frac = crossing_fraction(v[kc - 1], v[kc], level, True)
         t_ref = (kc - 1) * h + frac * h
     segment = ContinuousPath(step=h, values=v[kc::-1].copy())
     return ReversedExcursion(segment=segment, origin_time=t_ref, level=level)

@@ -17,13 +17,8 @@ __all__ = [
     "write_csv_columns",
     "kv_lines",
     "default_outdir",
-    "path_to_csv_rows",
     "jump_path_to_csv_rows",
-    "weighted_samples_to_csv_rows",
-    "chain_to_csv_rows",
     "profile_to_csv_rows",
-    "finite_chain_to_csv",
-    "finite_chain_from_csv",
 ]
 
 OUTDIR_ENV = "RAREPATH_OUTDIR"
@@ -80,30 +75,10 @@ def default_outdir() -> str:
     return os.environ.get(OUTDIR_ENV, ".")
 
 
-def path_to_csv_rows(path):
-    """(index, time, value...) rows for a continuous path."""
-    vals = path.values
-    for k in range(len(vals)):
-        v = vals[k]
-        row = [k, k * path.step]
-        row.extend(v if getattr(v, "__len__", None) else [v])
-        yield row
-
-
 def jump_path_to_csv_rows(jump_path):
     """(jump_index, time, mark components...) rows."""
     for j, (t, mark) in enumerate(zip(jump_path.jump_times, jump_path.marks)):
         yield [j, float(t), *[float(m) for m in mark]]
-
-
-def weighted_samples_to_csv_rows(samples):
-    for s in samples:
-        yield [s.replica_id, s.payoff, s.log_weight]
-
-
-def chain_to_csv_rows(chain_path):
-    for k, s in enumerate(chain_path.states):
-        yield [k, int(s)]
 
 
 def profile_to_csv_rows(profile):
@@ -111,29 +86,3 @@ def profile_to_csv_rows(profile):
     for (n, t, kappa) in sorted(profile.entries):
         est, se = profile.entries[(n, t, kappa)]
         yield [n, t, kappa, est, se]
-
-
-def finite_chain_to_csv(chain, path: str) -> None:
-    """Kernel matrix as CSV: header row of state labels, then one row per
-    state; a final ``pi`` row when the stationary law is attached."""
-    rows = []
-    for label, row in zip(chain.states, chain.kernel):
-        rows.append([label, *row])
-    if chain.pi is not None:
-        rows.append(["pi", *chain.pi])
-    write_csv(path, ["state", *[format_cell(s) for s in chain.states]], rows)
-
-
-def finite_chain_from_csv(path: str):
-    """Inverse of :func:`finite_chain_to_csv`."""
-    from .lattice import FiniteChain
-
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    states = rows[0][1:]
-    body = [r for r in rows[1:] if r and r[0] != "pi"]
-    pi_rows = [r for r in rows[1:] if r and r[0] == "pi"]
-    kernel = [[float(x) for x in r[1:]] for r in body]
-    pi = [float(x) for x in pi_rows[0][1:]] if pi_rows else None
-    return FiniteChain(states=states, kernel=np.asarray(kernel),
-                       pi=None if pi is None else np.asarray(pi))
