@@ -76,24 +76,20 @@ def _load_config(path: str, known: set) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  argv) -> None:
-    """File values fill in everything the command line left untouched."""
-    if not getattr(args, "config", None):
-        return
-    known = {a.dest.replace("_", "-") for a in parser._actions
-             if a.dest not in ("help", "config")}
-    file_vals = _load_config(args.config, known)
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0])
-    for key, raw in file_vals.items():
-        if key in explicit:
-            continue  # flags override the file
-        dest = key.replace("-", "_")
-        action = next(a for a in parser._actions if a.dest == dest)
-        args.__setattr__(dest, action.type(raw) if action.type else raw)
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse ``argv``; a ``--config`` file's values become the subcommand's
+    defaults, so a flag given under any of its names overrides them."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+        dests = {a.dest.replace("_", "-"): a.dest for a in sub._actions
+                 if a.dest not in ("help", "config")}
+        file_vals = _load_config(args.config, set(dests))
+        # argparse applies each option's type to string defaults
+        sub.set_defaults(**{dests[key]: val for key, val in file_vals.items()})
+        args = parser.parse_args(argv)
+    return args
 
 
 def _out_path(args, default_name: str) -> str:
@@ -491,12 +487,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(argv)
-    # find the subparser that handled the command, for config merging
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
     try:
-        _merge_config(args, subparsers.choices[args.command], argv)
+        args = _parse_args(parser, argv)
         missing = [name for name in getattr(args, "_required", ())
                    if getattr(args, name) is None]
         if missing:

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidArgument, InvalidIntensity
-from .jumps import IntensityFn, JumpPath, _intensity_on_states
+from .jumps import IntensityFn, JumpPath, compensator
 from .paths import ContinuousPath
 
 __all__ = [
@@ -180,58 +180,36 @@ def cpp_intensity_density(path: JumpPath, g1: IntensityFn, g2: IntensityFn,
     if t < 0.0 or t > path.horizon + 1e-12:
         raise InvalidArgument("t outside [0, horizon]")
 
-    jumps = path.jump_times[path.jump_times <= t]
-    stoch = 0.0
-    for s in jumps:
-        r1 = g1.eval(s, path)
-        r2 = g2.eval(s, path)
-        if r1 <= 0.0 or r2 <= 0.0:
-            raise InvalidIntensity("intensities must be strictly positive on the path")
-        stoch += math.log(r2) - math.log(r1)
+    def integral(g):
+        return compensator(path, g, t, quad_tol=1e-10)
 
-    comp = -(_integral_along(path, g2, t) - _integral_along(path, g1, t))
+    log_ratio = _positive_rates(lambda r1, r2: math.log(r2) - math.log(r1), g1, g2)
+    stoch = 0.0  # a plain loop: sum() of floats is compensated from Python 3.12
+    for s in path.jump_times[path.jump_times <= t]:
+        stoch += log_ratio.eval(s, path)
+    comp = -(integral(_positive_rates(lambda r: r, g2))
+             - integral(_positive_rates(lambda r: r, g1)))
     if mode == "compensated":
-        stoch -= _integral_along(path, g1, t,
-                                 transform=lambda r1, r2: (math.log(r2) - math.log(r1)) * r1,
-                                 other=g2)
+        stoch -= integral(_positive_rates(
+            lambda r1, r2: (math.log(r2) - math.log(r1)) * r1, g1, g2))
     return DensityAccumulator(log_stochastic_part=stoch,
                               log_compensator_part=comp, t=t)
 
 
-def _integral_along(path: JumpPath, g: IntensityFn, t: float,
-                    transform=None, other: Optional[IntensityFn] = None) -> float:
-    """Integral over [0, t] of an intensity (or a transform of two of
-    them) along the path; exact on constancy intervals for state kinds,
-    quadrature otherwise."""
-    from scipy import integrate as _integrate
-
-    times = path.jump_times
-    k = int(np.searchsorted(times, t, side="right"))
-    edges = np.concatenate([[0.0], times[:k], [t]])
-    exact = g.kind == "state" and (other is None or other.kind == "state")
-    if exact:
-        r1 = _intensity_on_states(g, path)[: k + 1]
-        if np.any(r1 <= 0.0):
+def _positive_rates(f: Callable, *gs: IntensityFn) -> IntensityFn:
+    """The intensity ``f(r1, r2, ...)`` of the rates of ``gs``, raising
+    :class:`InvalidIntensity` wherever one of them is not strictly
+    positive.  Rates of one kind keep it, so state rates stay exact
+    sums over constancy intervals; mixed kinds combine as a predictable
+    intensity."""
+    def checked(rates):
+        if any(r <= 0.0 for r in rates):
             raise InvalidIntensity("intensities must be strictly positive on the path")
-        if transform is None:
-            vals = r1
-        else:
-            r2 = _intensity_on_states(other, path)[: k + 1]
-            if np.any(r2 <= 0.0):
-                raise InvalidIntensity("intensities must be strictly positive on the path")
-            vals = np.array([transform(a, b) for a, b in zip(r1, r2)])
-        return float(np.sum(vals * np.diff(edges)))
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        if transform is None:
-            fn = lambda s: g.eval(s, path)
-        else:
-            fn = lambda s: transform(g.eval(s, path), other.eval(s, path))
-        val, _ = _integrate.quad(fn, a, b, epsabs=1e-10, epsrel=1e-10, limit=200)
-        total += val
-    return total
+        return f(*rates)
+
+    if len({g.kind for g in gs}) == 1:
+        return IntensityFn(gs[0].kind, lambda *a: checked([float(g.fn(*a)) for g in gs]))
+    return IntensityFn.predictable(lambda s, p: checked([g.eval(s, p) for g in gs]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Statistical tightness diagnostics for families of candidate density
 processes.
 
-A family provides, for each member index ``n`` and time ``t``, realized
-nonnegative values ``M_n(t)`` with unit mean at ``n`` fixed (each member
-is a true martingale by construction), together with optional stopping
-indicators and the raw limit value.  The profiles estimate the
+A family draws every member index ``n`` at a time ``t`` on one driving
+noise: its :class:`FamilyDraw` stacks the nonnegative values ``M_n(t)``
+(unit mean at ``n`` fixed; each member is a true martingale by
+construction) as a ``(members, size)`` array, with optional stopping
+indicators of the same shape and the raw limit value as one shared row.
+Every statistic picks columns from each draw and one chunked reduction
+returns their means and standard errors.  The profiles estimate the
 reweighted tails ``E[M_n(t) 1{M_n(t) >= kappa}]`` - equivalently the
 mass the tilted measures place on large values - and issue a statistical
 verdict: tails that vanish along the kappa grid are consistent with the
@@ -42,8 +45,13 @@ _CHUNK = 65536
 
 @dataclass(frozen=True)
 class FamilyDraw:
-    """Realizations for one member at one time: member values, optional
-    pathwise stopping indicators, optional raw limit values."""
+    """Realizations of every member at one time, all on one driving noise.
+
+    ``values`` and ``stopped`` (optional pathwise stopping indicators)
+    are ``(members, size)`` arrays with rows in the family's ``n_grid``
+    order; ``limit_values`` (optional) is the raw limit process, one
+    ``(size,)`` row shared by every member.
+    """
 
     values: np.ndarray
     stopped: Optional[np.ndarray] = None
@@ -54,22 +62,16 @@ class FamilyDraw:
 class MartingaleFamily:
     """Simulation access to an approximating family.
 
-    ``simulate_multi(stream, t, size)`` returns one :class:`FamilyDraw`
-    per member index, all evaluated on the same underlying driving
-    noise, which matches the pathwise truncation constructions and lets
-    a profile sweep every member in one pass.
+    ``simulate_multi(stream, t, size)`` returns one stacked
+    :class:`FamilyDraw` holding every member index, all evaluated on the
+    same underlying driving noise, which matches the pathwise truncation
+    constructions and lets a profile sweep every member in one pass.
     """
 
     description: str
     n_grid: tuple
     t_grid: tuple
     simulate_multi: Callable
-
-    def simulate(self, stream: RngStream, n: int, t: float, size: int) -> FamilyDraw:
-        draws = self.simulate_multi(stream, t, size)
-        if n not in draws:
-            raise InvalidArgument(f"member {n} not in the family grid")
-        return draws[n]
 
 
 @dataclass(frozen=True)
@@ -102,61 +104,31 @@ class TightnessProfile:
     floor_threshold: float
 
 
-def _accumulate(family, t, kappas, replicas, seed, cell_index, want_stopped=False,
-                want_limit=False):
-    """Stream replicas through simulate_multi in fixed chunks; returns per
-    member: per-kappa sums/sumsq, mean sums, optional stopped/limit sums."""
-    stats = {}
-    done = 0
-    batch = 0
-    while done < replicas:
-        size = min(_CHUNK, replicas - done)
-        stream = RngStream(seed, (cell_index << 20) | batch)
-        draws = family.simulate_multi(stream, t, size)
-        for n, draw in draws.items():
-            v = np.asarray(draw.values, dtype=float)
-            if np.any(v < 0.0):
+def _column_stats(family, replicas, seed, columns) -> dict:
+    """``{(n, t): [(mean, stderr) per column]}`` of the ``(members, size)``
+    columns that ``columns(draw)`` yields from each stacked draw, one at a
+    time so that only one is held.  Chunk ``b`` of time ``t_grid[ci]``
+    runs on substream ``(ci << 20) | b``.  Each row is reduced on its own,
+    by ``.sum(axis=-1)`` and a stacked ``@``, exactly as a 1-d sum and dot."""
+    if replicas < 1:
+        raise InvalidArgument("replicas must be positive")
+    out = {}
+    for ci, t in enumerate(family.t_grid):
+        sums = 0.0  # (columns, [sum, sum of squares], members)
+        for batch, done in enumerate(range(0, replicas, _CHUNK)):
+            size = min(_CHUNK, replicas - done)
+            draw = family.simulate_multi(RngStream(seed, (ci << 20) | batch), t, size)
+            if np.shape(draw.values) != (len(family.n_grid), size):
+                raise InvalidArgument("family values must be (members, size)")
+            if np.any(draw.values < 0.0):
                 raise InvalidArgument("family produced negative values")
-            st = stats.setdefault(n, {
-                "sum": 0.0, "sumsq": 0.0,
-                "tail_sum": np.zeros(len(kappas)),
-                "tail_sumsq": np.zeros(len(kappas)),
-                "ctail_sum": np.zeros(len(kappas)),
-                "ctail_sumsq": np.zeros(len(kappas)),
-                "stop_sum": 0.0, "stop_sumsq": 0.0, "has_stop": False,
-                "lim_sum": 0.0, "lim_sumsq": 0.0, "has_lim": False,
-            })
-            st["sum"] += float(v.sum())
-            st["sumsq"] += float(np.dot(v, v))
-            for i, k in enumerate(kappas):
-                above = v >= k
-                tv = v * above
-                cv = v * ~above
-                st["tail_sum"][i] += float(tv.sum())
-                st["tail_sumsq"][i] += float(np.dot(tv, tv))
-                st["ctail_sum"][i] += float(cv.sum())
-                st["ctail_sumsq"][i] += float(np.dot(cv, cv))
-            if want_stopped:
-                if draw.stopped is None:
-                    raise InvalidArgument("family does not expose stopping indicators")
-                sv = v * draw.stopped
-                st["stop_sum"] += float(sv.sum())
-                st["stop_sumsq"] += float(np.dot(sv, sv))
-                st["has_stop"] = True
-            if want_limit and draw.limit_values is not None:
-                lv = np.asarray(draw.limit_values, dtype=float)
-                st["lim_sum"] += float(lv.sum())
-                st["lim_sumsq"] += float(np.dot(lv, lv))
-                st["has_lim"] = True
-        done += size
-        batch += 1
-    return stats
-
-
-def _mean_se(total, total_sq, n):
-    mean = float(total) / n
-    var = max(float(total_sq) / n - mean * mean, 0.0)
-    return mean, math.sqrt(var / n)
+            sums = sums + np.array([(c.sum(axis=-1), (c[:, None] @ c[..., None])[:, 0, 0])
+                                    for c in map(np.ascontiguousarray, columns(draw))])
+        mean = sums[:, 0] / replicas
+        se = np.sqrt(np.maximum(sums[:, 1] / replicas - mean * mean, 0.0) / replicas)
+        for n, m, s in zip(family.n_grid, mean.T.tolist(), se.T.tolist()):
+            out[(n, t)] = list(zip(m, s))
+    return out
 
 
 def q_tail_profile(family: MartingaleFamily, kappa_grid, replicas: int,
@@ -174,45 +146,34 @@ def q_tail_profile(family: MartingaleFamily, kappa_grid, replicas: int,
     kappas = [float(k) for k in kappa_grid]
     if not kappas or any(k <= 0 for k in kappas) or sorted(kappas) != kappas:
         raise InvalidArgument("kappa_grid must be positive and increasing")
-    entries = {}
-    complements = {}
-    means = {}
-    for ci, t in enumerate(family.t_grid):
-        stats = _accumulate(family, t, kappas, replicas, seed, ci)
-        for n in family.n_grid:
-            st = stats[n]
-            means[(n, t)] = _mean_se(st["sum"], st["sumsq"], replicas)
-            for i, k in enumerate(kappas):
-                entries[(n, t, k)] = _mean_se(st["tail_sum"][i],
-                                              st["tail_sumsq"][i], replicas)
-                complements[(n, t, k)] = _mean_se(st["ctail_sum"][i],
-                                                  st["ctail_sumsq"][i], replicas)
+
+    def tails(draw):
+        v = draw.values
+        yield v
+        yield from (v * (v >= k) for k in kappas)
+        yield from (v * (v < k) for k in kappas)
+
+    entries, complements, means = {}, {}, {}
+    for (n, t), cols in _column_stats(family, replicas, seed, tails).items():
+        means[(n, t)] = cols[0]
+        for k, tail, comp in zip(kappas, cols[1:], cols[1 + len(kappas):]):
+            entries[(n, t, k)] = tail
+            complements[(n, t, k)] = comp
+
+    def cells(k):
+        return [entries[(n, t, k)] for n in family.n_grid if n >= k
+                for t in family.t_grid]
 
     k_top = kappas[-1]
-    consistent = all(
-        entries[(n, t, k_top)][0] + 2.0 * entries[(n, t, k_top)][1] < floor_threshold
-        for n in family.n_grid for t in family.t_grid)
-    verdict = None
-    if not consistent:
-        for k in kappas[-2:] if len(kappas) >= 2 else kappas[-1:]:
-            cands = [n for n in family.n_grid if n >= k]
-            if not cands:
-                verdict = Verdict("inconclusive")
-                break
-            ok_all_t = all(
-                entries[(n, t, k)][0] - 3.0 * entries[(n, t, k)][1] > floor_threshold
-                for n in cands for t in family.t_grid)
-            if not ok_all_t:
-                verdict = Verdict("inconclusive")
-                break
-        if verdict is None:
-            k = k_top
-            cands = [n for n in family.n_grid if n >= k]
-            floor = min(entries[(n, t, k)][0]
-                        for n in cands for t in family.t_grid)
-            verdict = Verdict("violated", kappa=k, floor=floor)
-    else:
+    top = [entries[(n, t, k_top)] for n in family.n_grid for t in family.t_grid]
+    if all(est + 2.0 * se < floor_threshold for est, se in top):
         verdict = Verdict("consistent")
+    elif all(cells(k) and all(est - 3.0 * se > floor_threshold for est, se in cells(k))
+             for k in kappas[-2:]):
+        verdict = Verdict("violated", kappa=k_top,
+                          floor=min(est for est, _ in cells(k_top)))
+    else:
+        verdict = Verdict("inconclusive")
     return TightnessProfile(entries=entries, complements=complements,
                             means=means, verdict=verdict,
                             floor_threshold=floor_threshold)
@@ -221,13 +182,13 @@ def q_tail_profile(family: MartingaleFamily, kappa_grid, replicas: int,
 def stopped_tail(family: MartingaleFamily, replicas: int, seed: int) -> dict:
     """Reweighted stopping probabilities ``E[M_n(t) 1{tau_n <= t}]`` per
     (member, time); the family must expose pathwise stopping flags."""
-    out = {}
-    for ci, t in enumerate(family.t_grid):
-        stats = _accumulate(family, t, [], replicas, seed, ci, want_stopped=True)
-        for n in family.n_grid:
-            st = stats[n]
-            out[(n, t)] = _mean_se(st["stop_sum"], st["stop_sumsq"], replicas)
-    return out
+    def stopped(draw):
+        if draw.stopped is None:
+            raise InvalidArgument("family does not expose stopping indicators")
+        return [draw.values * draw.stopped]
+
+    return {key: cols[0] for key, cols in
+            _column_stats(family, replicas, seed, stopped).items()}
 
 
 def unity_check(family: MartingaleFamily, replicas: int, seed: int,
@@ -241,20 +202,16 @@ def unity_check(family: MartingaleFamily, replicas: int, seed: int,
     """
     if member not in ("auto", "member", "limit"):
         raise InvalidArgument("member must be 'auto', 'member', or 'limit'")
-    out = {}
-    for ci, t in enumerate(family.t_grid):
-        stats = _accumulate(family, t, [], replicas, seed, ci,
-                            want_limit=member in ("auto", "limit"))
-        for n in family.n_grid:
-            st = stats[n]
-            use_limit = (member == "limit") or (member == "auto" and st["has_lim"])
-            if member == "limit" and not st["has_lim"]:
-                raise InvalidArgument("family does not expose a limit process")
-            if use_limit:
-                out[(n, t)] = _mean_se(st["lim_sum"], st["lim_sumsq"], replicas)
-            else:
-                out[(n, t)] = _mean_se(st["sum"], st["sumsq"], replicas)
-    return out
+
+    def values(draw):
+        if member == "member" or (member == "auto" and draw.limit_values is None):
+            return [draw.values]
+        if draw.limit_values is None:
+            raise InvalidArgument("family does not expose a limit process")
+        return [np.broadcast_to(draw.limit_values, draw.values.shape)]
+
+    return {key: cols[0] for key, cols in
+            _column_stats(family, replicas, seed, values).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +232,9 @@ def clamped_drift_family(mu: Callable, step: float, dim: int = 1,
     grid time the member's running value reaches ``n``.
     """
     n_grid = tuple(n_grid)
+    members = np.array(n_grid, dtype=float)
+    bound = members[:, None, None]
+    log_n = np.log(np.maximum(members, 1.0))[:, None]
 
     def simulate_multi(stream: RngStream, t: float, size: int):
         gen = stream.generator()
@@ -282,22 +242,24 @@ def clamped_drift_family(mu: Callable, step: float, dim: int = 1,
         sq = math.sqrt(step)
         w = np.zeros((size, dim))
         wstar = np.zeros(size)
-        logm = {n: np.zeros(size) for n in n_grid}
-        hit = {n: np.zeros(size, dtype=bool) for n in n_grid}
+        logm = np.zeros((len(n_grid), size))
+        hit = np.zeros((len(n_grid), size), dtype=bool)
+        # per-step buffers: fresh (members, size) arrays each step fault pages in
+        dn = np.empty((len(n_grid), size, dim))
+        quad, lin = np.empty_like(logm), np.empty_like(logm)
         for k in range(steps):
             drift = np.asarray(mu(k * step, w, wstar), dtype=float)
-            drift = np.broadcast_to(drift, (size, dim))
-            z = gen.standard_normal((size, dim))
-            dw = sq * z
-            for n in n_grid:
-                dn = np.clip(drift, -float(n), float(n))
-                logm[n] += np.einsum("ij,ij->i", dn, dw) \
-                    - 0.5 * step * np.einsum("ij,ij->i", dn, dn)
-                hit[n] |= logm[n] >= math.log(n) if n > 1 else logm[n] >= 0.0
+            dw = sq * gen.standard_normal((size, dim))
+            np.clip(drift, -bound, bound, out=dn)
+            np.einsum("mij,mij->mi", dn, dn, out=quad)
+            quad *= 0.5 * step
+            np.einsum("mij,ij->mi", dn, dw, out=lin)
+            lin -= quad
+            logm += lin
+            hit |= logm >= log_n
             w = w + dw
             wstar = np.maximum(wstar, np.linalg.norm(w, axis=1))
-        return {n: FamilyDraw(values=np.exp(logm[n]), stopped=hit[n])
-                for n in n_grid}
+        return FamilyDraw(values=np.exp(logm), stopped=hit)
 
     return MartingaleFamily(description=description, n_grid=n_grid,
                             t_grid=tuple(t_grid), simulate_multi=simulate_multi)
@@ -316,6 +278,8 @@ def inverse_bessel_family(step: float, n_grid=(8, 16, 32),
     exposes the raw time-``t`` value as the limit process.
     """
     n_grid = tuple(n_grid)
+    members = np.array(n_grid, dtype=float)
+    eps = 1.0 / members[:, None]
 
     def simulate_multi(stream: RngStream, t: float, size: int):
         gen = stream.generator()
@@ -323,23 +287,21 @@ def inverse_bessel_family(step: float, n_grid=(8, 16, 32),
         sq = math.sqrt(step)
         pos = np.zeros((size, 3))
         pos[:, 0] = 1.0
-        r = np.ones(size)
-        frozen = {n: np.zeros(size, dtype=bool) for n in n_grid}
+        # distances r - 1/n to the barriers before and after a step, in two
+        # buffers: fresh (members, size) arrays each step fault pages in
+        d, dn = np.repeat(1.0 - eps, size, axis=1), np.empty((len(n_grid), size))
+        frozen = np.zeros((len(n_grid), size), dtype=bool)
         for k in range(steps):
-            z = gen.standard_normal((size, 3))
+            pos += sq * gen.standard_normal((size, 3))
             u = gen.random(size)
-            pos += sq * z
-            rn = np.sqrt(np.einsum("ij,ij->i", pos, pos))
-            for n in n_grid:
-                eps = 1.0 / n
-                hit = rn <= eps
-                hit |= u < bridge_touch_probability(r - eps, rn - eps, step, u)
-                frozen[n] |= hit
-            r = rn
+            r = np.sqrt(np.einsum("ij,ij->i", pos, pos))
+            np.subtract(r, eps, out=dn)
+            frozen |= r <= eps
+            frozen |= u < bridge_touch_probability(d, dn, step, u)
+            d, dn = dn, d
         raw = 1.0 / np.maximum(r, 1e-300)
-        return {n: FamilyDraw(values=np.where(frozen[n], float(n), raw),
-                              stopped=frozen[n], limit_values=raw)
-                for n in n_grid}
+        return FamilyDraw(values=np.where(frozen, members[:, None], raw),
+                          stopped=frozen, limit_values=raw)
 
     return MartingaleFamily(
         description="reciprocal 3-d Bessel distance (strict local martingale)",
@@ -352,11 +314,9 @@ def constant_family(n_grid=(1, 2, 4), t_grid=(1.0,)) -> MartingaleFamily:
     n_grid = tuple(n_grid)
 
     def simulate_multi(stream: RngStream, t: float, size: int):
-        ones = np.ones(size)
-        return {n: FamilyDraw(values=ones,
-                              stopped=np.full(size, n <= t),
-                              limit_values=ones)
-                for n in n_grid}
+        ones = np.ones((len(n_grid), size))
+        stopped = np.broadcast_to(np.array(n_grid)[:, None] <= t, ones.shape)
+        return FamilyDraw(values=ones, stopped=stopped, limit_values=ones[0])
 
     return MartingaleFamily(description="constant density",
                             n_grid=n_grid, t_grid=tuple(t_grid),

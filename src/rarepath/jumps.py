@@ -193,14 +193,6 @@ class IntensityFn:
         return float(val)
 
 
-def _intensity_on_states(g: IntensityFn, path: JumpPath):
-    """Rates on the constancy intervals for a state-dependent intensity."""
-    states = path.states()
-    if states.shape[1] == 1:
-        return np.array([float(g.fn(s[0])) for s in states])
-    return np.array([float(g.fn(s)) for s in states])
-
-
 def simulate_cpp_time_change(stream: RngStream, g_state: Callable,
                              mark_dist: MarkDistribution, x0, horizon: float,
                              max_jumps: int = MAX_JUMPS) -> JumpPath:
@@ -297,7 +289,8 @@ def compensator(path: JumpPath, g: IntensityFn, t: float,
     k = int(np.searchsorted(times, t, side="right"))
     edges = np.concatenate([[0.0], times[:k], [t]])
     if g.kind == "state":
-        rates = _intensity_on_states(g, path)[: k + 1]
+        rates = np.array([float(g.fn(s[0] if s.size == 1 else s))
+                          for s in path.states()[: k + 1]])
         return float(np.sum(rates * np.diff(edges)))
     from scipy import integrate
 

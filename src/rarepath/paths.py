@@ -162,9 +162,14 @@ def crossing_fraction(a, b, barrier, grid):
     interpolated linearly, ``(barrier - a)/(b - a)``, exactly 1 where
     ``b == barrier``; elsewhere a bridge coin stopped the path and the
     crossing sits at mid-step, 0.5.  Arguments broadcast as arrays.
+
+    The interpolated fraction is clamped to ``[0, 1]``: on a step that
+    really straddles the barrier the clamp changes no bit, and a step that
+    does not (a sign test ``(a - barrier)*(b - barrier) <= 0`` that
+    underflows to 0 lets one through) still gets a crossing inside it.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.subtract(barrier, a) / np.subtract(b, a)
+        frac = np.clip(np.subtract(barrier, a) / np.subtract(b, a), 0.0, 1.0)
     return np.where(grid, np.where(b == barrier, 1.0, frac), 0.5)
 
 

@@ -80,6 +80,25 @@ def test_config_file_and_flag_override(tmp_path):
     assert b"seed,11" in _read(out2)
 
 
+def test_config_loses_to_a_flag_given_by_its_alias(tmp_path):
+    # --N and --replicas are aliases of the options behind the config keys
+    # level and attempts; the flag must win under either name
+    cfg = tmp_path / "alias.cfg"
+    cfg.write_text("level = 3\n")
+    flags = ["--step", "0.004", "--seed", "1"]
+    est_alias, est_plain = tmp_path / "ea.csv", tmp_path / "ep.csv"
+    assert _run(["ou-estimate", "--config", str(cfg), "--N", "2", "--replicas", "200",
+                 *flags, "--out", str(est_alias)]) == 0
+    assert _run(["ou-estimate", "--level", "2", "--replicas", "200", *flags,
+                 "--out", str(est_plain)]) == 0
+    assert _read(est_alias) == _read(est_plain)
+    cfg.write_text("level = 3\nattempts = 10\n")
+    orc = tmp_path / "o.csv"
+    assert _run(["ou-oracle", "--config", str(cfg), "--N", "2", "--replicas", "2000",
+                 *flags, "--out", str(orc)]) == 0
+    assert b"attempts,2000" in _read(orc)
+
+
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("level = 2\nbogus = 1\n")

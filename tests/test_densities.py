@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rarepath import (IntensityFn, InvalidArgument, JumpPath,
+from rarepath import (IntensityFn, InvalidArgument, InvalidIntensity, JumpPath,
                       RngStream, WeightedSample, continuous_exponential,
                       counting_density, cpp_intensity_density,
                       importance_estimate, simulate_brownian)
@@ -184,6 +184,39 @@ def test_cpp_density_rejects_nonpositive_intensity():
     g2 = IntensityFn.state_dependent(lambda y: 1.0)
     with pytest.raises(Exception):
         cpp_intensity_density(path, g1, g2, 1.0)
+
+
+def test_cpp_density_time_dependent_closed_form():
+    # g1 = 1 + s, g2 = 2 + s: the compensator part is -t and the
+    # compensated mode subtracts int_0^t (1 + s) log((2 + s)/(1 + s)) ds
+    path = _unit_poisson_path([0.3, 0.6], 1.5)
+    g1 = IntensityFn.deterministic(lambda s: 1.0 + s)
+    g2 = IntensityFn.deterministic(lambda s: 2.0 + s)
+    t = 1.2
+
+    def antiderivative(s):
+        u, v = 1.0 + s, 2.0 + s  # int (v - 1) log v dv - int u log u du
+        return (v * v / 2 - v) * math.log(v) - v * v / 4 + v \
+            - (u * u / 2 * math.log(u) - u * u / 4)
+
+    stoch = math.log(2.3 / 1.3) + math.log(2.6 / 1.6)
+    extra = antiderivative(t) - antiderivative(0.0)
+    jump = cpp_intensity_density(path, g1, g2, t, mode="jump")
+    comp = cpp_intensity_density(path, g1, g2, t, mode="compensated")
+    assert jump.log_stochastic_part == pytest.approx(stoch, abs=1e-12)
+    assert jump.log_compensator_part == pytest.approx(-t, abs=1e-9)
+    assert comp.log_stochastic_part == pytest.approx(stoch - extra, abs=1e-9)
+    assert comp.log_compensator_part == jump.log_compensator_part
+
+
+@pytest.mark.parametrize("mode", ["jump", "compensated"])
+def test_cpp_density_nonpositive_rate_without_jumps(mode):
+    # no jump is ever evaluated: the integral itself must reject the rate
+    path = _unit_poisson_path([], 1.0)
+    g1 = IntensityFn.state_dependent(lambda y: 0.0)
+    g2 = IntensityFn.state_dependent(lambda y: 1.0)
+    with pytest.raises(InvalidIntensity):
+        cpp_intensity_density(path, g1, g2, 1.0, mode=mode)
 
 
 # ---------------------------------------------------------------------------

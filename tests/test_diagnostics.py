@@ -1,9 +1,11 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from rarepath import (InvalidArgument, RngStream, clamped_drift_family,
+from rarepath import (FamilyDraw, InvalidArgument, RngStream, clamped_drift_family,
                       constant_family, inverse_bessel_family, q_tail_profile,
                       stopped_tail, unity_check)
 
@@ -40,8 +42,8 @@ def test_clamped_family_members_coincide_once_clamp_inactive():
     fam = clamped_drift_family(lambda t, w, ws: 3.0 * np.cos(w[:, :1]),
                                   step=1.0 / 64, dim=1, n_grid=(5, 50),
                                   t_grid=(1.0,))
-    draws = fam.simulate_multi(RngStream(11, 0), 1.0, 256)
-    assert np.array_equal(draws[5].values, draws[50].values)
+    draw = fam.simulate_multi(RngStream(11, 0), 1.0, 256)
+    assert np.array_equal(draw.values[0], draw.values[1])
 
 
 def test_clamped_family_clamp_is_componentwise():
@@ -50,9 +52,9 @@ def test_clamped_family_clamp_is_componentwise():
     fam = clamped_drift_family(lambda t, w, ws: np.array([[5.0, -7.0]]),
                                   step=1.0 / 4, dim=2, n_grid=(6, 8),
                                   t_grid=(0.25,))
-    draws = fam.simulate_multi(RngStream(12, 0), 0.25, 30000)
-    lv6 = np.log(draws[6].values).var()
-    lv8 = np.log(draws[8].values).var()
+    draw = fam.simulate_multi(RngStream(12, 0), 0.25, 30000)
+    lv6 = np.log(draw.values[0]).var()
+    lv8 = np.log(draw.values[1]).var()
     # var log M = |mu|^2 t with |mu6|^2 = 61, |mu8|^2 = 74 at t = 0.25
     assert abs(lv6 - 61.0 * 0.25) < 0.6
     assert abs(lv8 - 74.0 * 0.25) < 0.7
@@ -138,11 +140,62 @@ def test_profile_input_validation():
         q_tail_profile(fam, [], replicas=10, seed=1)
     with pytest.raises(InvalidArgument):
         unity_check(fam, replicas=10, seed=1, member="bogus")
-
-
-def test_family_single_member_accessor():
-    fam = constant_family(n_grid=(1, 2), t_grid=(1.0,))
-    draw = fam.simulate(RngStream(1, 0), 2, 1.0, 16)
-    assert np.all(draw.values == 1.0)
     with pytest.raises(InvalidArgument):
-        fam.simulate(RngStream(1, 0), 3, 1.0, 16)
+        q_tail_profile(fam, [2.0], replicas=0, seed=1)
+    # a draw must stack one row per member
+    one_row = dataclasses.replace(fam, simulate_multi=lambda stream, t, size:
+                                  FamilyDraw(values=np.ones((1, size))))
+    with pytest.raises(InvalidArgument):
+        stopped_tail(one_row, replicas=10, seed=1)
+
+
+# sha256 pins of every tightness statistic: profile entries, complements,
+# means and verdict, the stopped tails, and unity_check in both the
+# "auto" and the "member" mode, each as the repr of its (key, value)
+# pairs, so every float is pinned to the bit.  The "chunks" case spans
+# two _CHUNKs at two times.  Second moments are BLAS dot products, which
+# OpenBLAS splits across its threads for long rows: the 65 536-long rows of
+# "chunks" were pinned with 2 threads and differ in the last bit with 1.
+_TIGHTNESS_CASES = {
+    "inverse-bessel": (lambda: inverse_bessel_family(
+        step=1.0 / 64, n_grid=(4, 8), t_grid=(0.5, 1.0)), 3000, 31),
+    "clamped-1d": (lambda: clamped_drift_family(
+        lambda t, w, ws: np.cos(w[:, :1]), step=1.0 / 32, dim=1,
+        n_grid=(1, 2, 4), t_grid=(1.0,)), 3000, 32),
+    "clamped-2d": (lambda: clamped_drift_family(
+        lambda t, w, ws: np.stack([3.0 * np.sin(w[:, 1]), ws + 1.0], axis=1),
+        step=1.0 / 16, dim=2, n_grid=(1, 2, 4), t_grid=(0.5,)), 2000, 33),
+    "constant": (lambda: constant_family(n_grid=(1, 2, 4), t_grid=(1.0, 2.5)),
+                 500, 34),
+    "chunks": (lambda: clamped_drift_family(
+        lambda t, w, ws: np.stack([np.cos(w[:, 0]), ws], axis=1),
+        step=1.0 / 8, dim=2, n_grid=(1, 2, 4), t_grid=(0.25, 0.5)), 70000, 35),
+}
+
+_TIGHTNESS_DIGESTS = {
+    "inverse-bessel":
+        "0c6e5b0d5609ccdfeb3e25a96c79cf18f639e8ec551c1a704e1a6694448d4d9f",
+    "clamped-1d":
+        "a873c011cdd75fb47ea775b2076c8202afa52517c179f14cb76de1e8623faa80",
+    "clamped-2d":
+        "6b3f89b0ef9004945756907d39081e5166b021459d390fd67bafd9dda67bfa58",
+    "constant":
+        "0cd7612d70d994ada0aa243759db871e64b41ce5c0eb17de280ad9d31f616bc2",
+    "chunks":
+        "4b13b2446622e29a74bcaab91cbfd2b8e2ef87678a6a1f93d275903b8b455dd2",
+}
+
+
+@pytest.mark.parametrize("case", list(_TIGHTNESS_CASES))
+def test_tightness_statistics_pinned(case):
+    make, replicas, seed = _TIGHTNESS_CASES[case]
+    fam = make()
+    prof = q_tail_profile(fam, [2.0, 4.0, 8.0], replicas=replicas, seed=seed)
+    payload = (list(prof.entries.items()), list(prof.complements.items()),
+               list(prof.means.items()), str(prof.verdict),
+               list(stopped_tail(fam, replicas=replicas, seed=seed).items()),
+               list(unity_check(fam, replicas=replicas, seed=seed).items()),
+               list(unity_check(fam, replicas=replicas, seed=seed,
+                                member="member").items()))
+    digest = hashlib.sha256(repr(payload).encode()).hexdigest()
+    assert digest == _TIGHTNESS_DIGESTS[case]
