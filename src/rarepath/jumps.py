@@ -164,7 +164,6 @@ class IntensityFn:
 
     kind: str  # 'state' | 'time' | 'predictable'
     fn: Callable
-    bound_hint: Optional[float] = None
 
     @staticmethod
     def state_dependent(g: Callable) -> "IntensityFn":
@@ -306,7 +305,8 @@ def compensator(path: JumpPath, g: IntensityFn, t: float,
 
 # ---------------------------------------------------------------------------
 # lane-parallel jump-count kernels (scalar state, point-mass-style marks);
-# used by the law-equivalence tests and the CLI at Monte Carlo scale
+# used by the law-equivalence checks at Monte Carlo scale (acceptance
+# criterion 7, tests/test_jumps.py) and demos/02_jump_processes.py
 
 
 def time_change_counts(stream: RngStream, g_of_value: Callable, mark: float,

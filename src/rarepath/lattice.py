@@ -496,11 +496,20 @@ def _check_vn(chain, v_fn, level, x, b):
 
 
 def conv_sampler(chain: FiniteChain, v_fn: Callable, level: float, x: int,
-                 b: int, stream: RngStream, max_attempts: int = 10 ** 6,
-                 _gen: Optional[np.random.Generator] = None) -> ChainPath:
+                 b: int, stream: RngStream, max_attempts: int = 10 ** 6) -> ChainPath:
     """Draw one forward path from ``x`` to the high set ``{V >= level}``
+    conditioned to get there before visiting ``b``: the ``n=1`` view of
+    :func:`conv_sample_many`."""
+    return conv_sample_many(chain, v_fn, level, x, b, stream, 1, max_attempts)[0]
+
+
+def conv_sample_many(chain: FiniteChain, v_fn: Callable, level: float, x: int,
+                     b: int, stream: RngStream, n: int,
+                     max_attempts_each: int = 10 ** 6) -> list:
+    """Draw ``n`` forward paths from ``x`` to the high set ``{V >= level}``
     conditioned to get there before visiting ``b``, by running the
-    time-reversed chain backwards from stationarity.
+    time-reversed chain backwards from stationarity; the paths share one
+    generator (single stream, sequential draws, deterministic).
 
     The recipe: sample the entry state from the stationary law restricted
     to the high set; run the reversed kernel until it hits ``b``,
@@ -519,41 +528,28 @@ def conv_sampler(chain: FiniteChain, v_fn: Callable, level: float, x: int,
     p_start = np.where(high, pi, 0.0)
     cum_start = np.cumsum(p_start / p_start.sum())
     cum = np.cumsum(rev.kernel, axis=1)
-    gen = _gen if _gen is not None else stream.generator()
+    gen = stream.generator()
+    return [_conv_draw(gen, cum_start, cum, high, x, b, max_attempts_each)
+            for _ in range(n)]
+
+
+def _conv_draw(gen, cum_start, cum, high, x, b, max_attempts):
+    """One accepted reversed run of :func:`conv_sample_many`, read forward."""
     for _ in range(max_attempts):
         state = int(np.searchsorted(cum_start, gen.random(), side="right"))
         traj = [state]
-        seen_x = False
-        ok = True
         for _step in range(MAX_CHAIN_STEPS):
             state = int(np.searchsorted(cum[state], gen.random(), side="right"))
             traj.append(state)
-            if state == x:
-                seen_x = True
-            if state == b:
-                break
-            if high[state]:
-                ok = False   # re-entered the high set before b
+            if state == b or high[state]:
                 break
         else:
             raise NonterminationSuspected("reversed run exceeded the step cap")
-        if not ok or not seen_x:
-            continue
-        xi = max(i for i, s in enumerate(traj) if s == x)
-        forward = traj[xi::-1]
-        return ChainPath(np.array(forward))
+        # keep a run that reached b, not the high set again, through x
+        if state == b and x in traj:
+            xi = max(i for i, s in enumerate(traj) if s == x)
+            return ChainPath(np.array(traj[xi::-1]))
     raise InfeasibleConditioning(f"no accepted run in {max_attempts} attempts")
-
-
-def conv_sample_many(chain: FiniteChain, v_fn: Callable, level: float, x: int,
-                     b: int, stream: RngStream, n: int,
-                     max_attempts_each: int = 10 ** 6) -> list:
-    """Draw ``n`` conditioned paths sharing one generator (single stream,
-    sequential draws, deterministic)."""
-    gen = stream.generator()
-    return [conv_sampler(chain, v_fn, level, x, b, stream,
-                         max_attempts=max_attempts_each, _gen=gen)
-            for _ in range(n)]
 
 
 @dataclass(frozen=True)

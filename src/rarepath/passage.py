@@ -10,9 +10,11 @@ with the explicit density
     ``exp((level^2 + T0' - int_0^{T0'} X'(s)^2 ds) / 2)``
 
 normalized by its sample mean.  One lane-parallel engine draws these
-excursions: built-in functionals are accumulated while it runs, and a
-custom functional or :func:`sample_reversed_bridge` has it record each
-lane's path and rebuild the reversed excursion afterwards.  A naive
+excursions; each lane keeps a record of its last crossing of 1, from
+which the last-visit time is evaluated once, when the batch ends.
+Built-in functionals are accumulated while it runs, and a custom
+functional or :func:`sample_reversed_bridge` has it record each lane's
+path and rebuild the reversed excursion afterwards.  A naive
 rejection sampler over Euler OU paths serves as the brute-force oracle,
 and a cost-scaling experiment contrasts the two as the level grows.
 
@@ -115,23 +117,31 @@ class PathFunctional:
         cell has length ``duration - floor`` of the remaining uniform
         grid; see the module docstring for conventions.
         """
-        if self.kind == "indicator":
-            return 1.0
-        if self.kind == "capped-duration":
-            return min(duration, self.cap)
+        if self.kind == "custom":
+            val = float(self.fn(excursion, duration))
+            if abs(val) > self.cap * (1.0 + 1e-12):
+                raise InvalidArgument("custom functional exceeded its declared cap")
+            return val
+        occ = 0.0
         if self.kind == "occupation-above":
             v = np.asarray(excursion.segment.values, dtype=float)
             h = excursion.segment.step
-            if len(v) < 2:
-                return 0.0
-            first_gap = duration - (len(v) - 2) * h
-            occ = _occ_cell(v[:1], v[1:2], self.level)[0] * first_gap
-            occ += float(np.sum(_occ_cell(v[1:-1], v[2:], self.level)) * h)
-            return min(occ, self.cap)
-        val = float(self.fn(excursion, duration))
-        if abs(val) > self.cap * (1.0 + 1e-12):
-            raise InvalidArgument("custom functional exceeded its declared cap")
-        return val
+            if len(v) >= 2:
+                first_gap = duration - (len(v) - 2) * h
+                occ = _occ_cell(v[:1], v[1:2], self.level)[0] * first_gap
+                occ += float(np.sum(_occ_cell(v[1:-1], v[2:], self.level)) * h)
+        return float(self.payoff(duration, occ))
+
+    def payoff(self, duration, occupation):
+        """A built-in kind's payoff from a path's duration and its
+        occupation above ``level``; scalars or arrays of replicas."""
+        if self.kind == "capped-duration":
+            return np.minimum(duration, self.cap)
+        if self.kind == "occupation-above":
+            return np.minimum(occupation, self.cap)
+        if self.kind == "indicator":
+            return np.ones(np.shape(duration))
+        raise InvalidArgument("only built-in kinds have a streamed payoff")
 
 
 def _occ_cell(a, b, level):
@@ -211,7 +221,10 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
 
     Alive-lane state is kept compacted in lane order (``ids`` holds each
     position's lane) and is compacted only on steps where some lane stops;
-    per-lane results are written by lane id when a lane crosses 1 or stops.
+    per-lane results are written by lane id.  Each lane's last crossing of
+    1 is kept as a record (cell, endpoints, grid or coin, occupation through
+    the cell) that later crossings overwrite and that is evaluated once,
+    after the loop.
     """
     N = float(level)
     sq = math.sqrt(h)
@@ -219,11 +232,13 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
     L = occ_level if track_occ else 0.0
     bridge = detection == "bridge"
 
-    xi = np.full(lanes, np.nan)
-    occ_at_xi = np.full(lanes, np.nan)
     t0 = np.full(lanes, np.nan)
     logw = np.full(lanes, np.nan)
-    last_cell = np.full(lanes, -1)   # grid cell of the last crossing of 1
+    last_cell = np.full(lanes, -1)   # last crossing of 1 by lane; -1: none yet
+    last_a = np.full(lanes, np.nan)
+    last_b = np.full(lanes, np.nan)
+    last_grid = np.zeros(lanes, dtype=bool)
+    last_occ = np.full(lanes, np.nan)
     rec = [] if record else None
     ids = np.arange(lanes)
     b = np.zeros((lanes, 3))
@@ -270,15 +285,13 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
             cross1 = sign_chg
         if cross1.any():
             c = np.flatnonzero(cross1)
-            fp, fn = x[c], xn[c]
-            frac = crossing_fraction(fp, fn, 1.0, sign_chg[c])
             lane = ids[c]
-            xi[lane] = (step - 1) * h + frac * h
             last_cell[lane] = step - 1
+            last_a[lane] = x[c]
+            last_b[lane] = xn[c]
+            last_grid[lane] = sign_chg[c]
             if track_occ:
-                occ_at_xi[lane] = (occ[c]
-                                   - _occ_cell(fp, fn, L) * h
-                                   + _occ_cell(fp, np.ones_like(fp), L) * frac * h)
+                last_occ[lane] = occ[c]
 
         hit = xn <= 0.0
         if bridge:
@@ -295,19 +308,18 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
         t0[lane] = tr
         int_sq_hit = int_sq[s] + (-0.5 * h * (fp * fp + fn * fn) + 0.5 * (frac * h) * (fp * fp))
         logw[lane] = 0.5 * (N * N + tr - int_sq_hit)
-        # guard: a lane stopping without a recorded level-1 visit can
-        # only happen if the final cell itself straddles 1
-        miss = np.isnan(xi[lane])
-        if np.any(miss):
+        # guard: a lane stopping with no crossing of 1 seen can only have
+        # crossed it in its final cell, which runs to the snapped 0 on a
+        # coin stop
+        miss = last_cell[lane] < 0
+        if miss.any():
             sel = lane[miss]
-            fpm = fp[miss]
-            fnm = np.where(hg[miss], fn[miss], 0.0)
-            f1 = crossing_fraction(fpm, fnm, 1.0, True)
-            xi[sel] = (step - 1) * h + f1 * h
             last_cell[sel] = step - 1
+            last_a[sel] = fp[miss]
+            last_b[sel] = np.where(hg[miss], fn[miss], 0.0)
+            last_grid[sel] = True
             if track_occ:
-                occ_at_xi[sel] = occ[s][miss] - _occ_cell(fpm, fnm, L) * h \
-                    + _occ_cell(fpm, np.ones_like(fpm), L) * f1 * h
+                last_occ[sel] = occ[s[miss]]
 
         if record:
             rec[-1][1] = s
@@ -316,6 +328,13 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
         x, xm1, x2 = xn[keep], xnm1[keep], xn2[keep]
         if track_occ:
             occ = occ[keep]
+
+    frac = crossing_fraction(last_a, last_b, 1.0, last_grid)
+    xi = last_cell * h + frac * h
+    occ_at_xi = last_occ
+    if track_occ:
+        occ_at_xi = (last_occ - _occ_cell(last_a, last_b, L) * h
+                     + _occ_cell(last_a, np.ones_like(last_a), L) * frac * h)
     if record:
         return (xi, t0, occ_at_xi, logw, steps_done,
                 _replay_excursions(rec, N, h, last_cell, xi))
@@ -429,64 +448,45 @@ def _rej_batch(gen, lanes, level, h, occ_level, detection, max_steps):
     return hit_up, dur, occ_out, steps_done
 
 
-def _run_batched(total, worker_count, batch_fn):
-    """Run ``batch_fn(batch_index, lanes)`` over fixed-size batches and
-    merge in batch order; the split is independent of the worker count."""
-    sizes = []
-    left = total
-    while left > 0:
-        take = min(LANES_PER_BATCH, left)
-        sizes.append(take)
-        left -= take
-    if worker_count <= 1 or len(sizes) == 1:
-        return [batch_fn(i, m) for i, m in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=worker_count) as pool:
-        return list(pool.map(lambda im: batch_fn(*im), enumerate(sizes)))
+def _run_batched(batch, purpose, seed, total, level, h, occ_level, detection,
+                 workers, *extra):
+    """Run ``batch`` over fixed-size batches, batch ``i`` drawing from
+    substream ``(seed, purpose, i)``, and merge the outputs in batch order
+    (arrays and lists joined, counts summed); the split is independent of
+    the worker count."""
+    max_steps = int(HORIZON_CAP / h)
+    sizes = [min(LANES_PER_BATCH, total - first)
+             for first in range(0, total, LANES_PER_BATCH)]
+
+    def one(i, m):
+        return batch(RngStream(seed).generator(purpose, i), m, level, h,
+                     occ_level, detection, max_steps, *extra)
+
+    if workers <= 1 or len(sizes) == 1:
+        parts = [one(i, m) for i, m in enumerate(sizes)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(one, range(len(sizes)), sizes))
+    merged = []
+    for col in zip(*parts):
+        if isinstance(col[0], np.ndarray):
+            merged.append(np.concatenate(col))
+        elif isinstance(col[0], list):
+            merged.append([e for part in col for e in part])
+        else:
+            merged.append(sum(col))
+    return tuple(merged)
 
 
 def _run_is(seed, level, h, replicas, occ_level, detection, workers,
             record=False):
-    max_steps = int(HORIZON_CAP / h)
-
-    def one(i, m):
-        gen = RngStream(seed).generator(_P_IS, i)
-        return _is_batch(gen, m, level, h, occ_level, detection, max_steps,
-                         record)
-
-    parts = _run_batched(replicas, workers, one)
-    xi = np.concatenate([p[0] for p in parts])
-    t0 = np.concatenate([p[1] for p in parts])
-    occ = np.concatenate([p[2] for p in parts])
-    logw = np.concatenate([p[3] for p in parts])
-    steps = sum(p[4] for p in parts)
-    if record:
-        return xi, t0, occ, logw, steps, [e for p in parts for e in p[5]]
-    return xi, t0, occ, logw, steps
+    return _run_batched(_is_batch, _P_IS, seed, replicas, level, h, occ_level,
+                        detection, workers, record)
 
 
 def _run_rej(seed, level, h, attempts, occ_level, detection, workers):
-    max_steps = int(HORIZON_CAP / h)
-
-    def one(i, m):
-        gen = RngStream(seed).generator(_P_REJ, i)
-        return _rej_batch(gen, m, level, h, occ_level, detection, max_steps)
-
-    parts = _run_batched(attempts, workers, one)
-    hit = np.concatenate([p[0] for p in parts])
-    dur = np.concatenate([p[1] for p in parts])
-    occ = np.concatenate([p[2] for p in parts])
-    steps = sum(p[3] for p in parts)
-    return hit, dur, occ, steps
-
-
-def _payoffs_from_accumulators(functional, dur, occ):
-    if functional.kind == "capped-duration":
-        return np.minimum(dur, functional.cap)
-    if functional.kind == "occupation-above":
-        return np.minimum(occ, functional.cap)
-    if functional.kind == "indicator":
-        return np.ones(dur.shape)
-    raise InvalidArgument("streaming engines support built-in kinds only")
+    return _run_batched(_rej_batch, _P_REJ, seed, attempts, level, h,
+                        occ_level, detection, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +543,7 @@ def conditional_samples(query: OuQuery, workers: int = 1) -> ConditionalSamples:
     if excursions:
         payoffs = np.array([f.evaluate(e, e.origin_time) for e in excursions[0]])
     else:
-        payoffs = _payoffs_from_accumulators(f, xi, occ)
+        payoffs = f.payoff(xi, occ)
     lvl = float(query.level)
     return ConditionalSamples(hit_times=t0, integrals_sq=lvl * lvl + t0 - 2.0 * logw,
                               log_weights=logw, payoffs=payoffs,
@@ -596,7 +596,7 @@ def oracle_rejection(query: OuQuery, workers: int = 1) -> EstimatorReport:
     n_acc = int(np.sum(hit))
     if n_acc == 0:
         raise ZeroAcceptance("no attempt reached the level before 0")
-    payoffs = _payoffs_from_accumulators(f, dur[hit], occ[hit])
+    payoffs = f.payoff(dur[hit], occ[hit])
     est = float(np.mean(payoffs))
     se = float(np.std(payoffs, ddof=1) / math.sqrt(n_acc)) if n_acc > 1 else math.inf
     acc_rate = n_acc / query.replicas

@@ -1,7 +1,8 @@
 """bench/layers.py patches package functions by name and binds their
 parameters by name, and only a traced benchmark run exercises that code:
 check, without running the benchmark, that every target still resolves
-and that the built-in families still draw in the replayed patterns."""
+and that the built-in families and both passage engines still draw in the
+replayed patterns."""
 
 import ast
 import dataclasses
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from rarepath import (RngStream, clamped_drift_family, diagnostics,
-                      inverse_bessel_family)
+                      inverse_bessel_family, passage)
+from rarepath.paths import HORIZON_CAP
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 TREE = ast.parse(LAYERS.read_text(), filename=str(LAYERS))
@@ -113,3 +115,18 @@ def test_family_draws_follow_replayed_pattern(kind, family):
     stream = type("Stream", (), {"generator": lambda self, *sub: gen})()
     family().simulate_multi(stream, 0.5, 40)
     assert layers.lane_profile(calls, layers.PATTERNS[kind]) == [40] * 8
+
+
+@pytest.mark.parametrize("kind,batch", [("is", passage._is_batch),
+                                        ("rej", passage._rej_batch)])
+def test_engine_draws_follow_replayed_pattern(kind, batch):
+    # the replay derives the rng.* metrics from these draw shapes; a
+    # mismatch nulls the metrics instead of failing the benchmark
+    layers = _load_layers()
+    calls = []
+    gen = layers.RecordingGenerator(RngStream(3, 0).generator(), calls)
+    h = 4e-3
+    *_, lane_steps = batch(gen, 256, 2, h, 1.5, "bridge", int(HORIZON_CAP / h))
+    profile = layers.lane_profile(calls, layers.PATTERNS[kind])
+    assert profile is not None
+    assert sum(profile) == lane_steps

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from rarepath import (ContinuousPath, InvalidArgument, OuQuery, PathFunctional,
-                      ReversedExcursion, RngStream, ZeroAcceptance,
-                      estimate_conditional, oracle_rejection, ou_scale_ratio,
-                      sample_reversed_bridge, scaling_report)
+from rarepath import (ContinuousPath, Hit, InvalidArgument, OuQuery,
+                      PathFunctional, ReversedExcursion, RngStream,
+                      StoppedSegment, ZeroAcceptance, estimate_conditional,
+                      oracle_rejection, ou_scale_ratio, path_integral_square,
+                      reversed_last_excursion, sample_reversed_bridge,
+                      scaling_report)
 from rarepath import passage
 from rarepath.passage import (_P_IS, _P_REJ, BridgeSample, _is_batch,
                               _occ_cell, _rej_batch, _run_is, _run_rej)
@@ -172,11 +174,13 @@ def test_recorded_excursions_match_streamed_payoffs(detection):
 def test_recorded_excursions_match_reference_paths():
     # grid detection draws one (alive, 3) normal block per step and
     # nothing else, so a plain per-lane loop over the same draws rebuilds
-    # every path; each recorded excursion is its prefix up to the last
-    # crossing of 1, reversed, behind the snapped value 1
+    # every path; the library's scalar post-processing of each one must
+    # give the recorded excursion (behind the value the engine snaps to 1)
+    # and the engine's squared-path integral
     h, level, lanes = 4e-3, 2, 64
-    *_, excursions = _is_batch(RngStream(5).generator(_P_IS, 0), lanes, level,
-                               h, None, "grid", int(HORIZON_CAP / h), record=True)
+    _xi, t0, _occ, logw, _steps, excursions = _is_batch(
+        RngStream(5).generator(_P_IS, 0), lanes, level, h, None, "grid",
+        int(HORIZON_CAP / h), record=True)
     gen = RngStream(5).generator(_P_IS, 0)
     b = np.zeros((lanes, 3))
     paths = [[float(level)] for _ in range(lanes)]
@@ -187,11 +191,13 @@ def test_recorded_excursions_match_reference_paths():
         for lane, v in zip(alive, x):
             paths[lane].append(v)
         alive = alive[x > 0.0]
-    for path, exc in zip(paths, excursions):
-        d = np.array(path) - 1.0
-        k = np.flatnonzero((d[:-1] * d[1:] < 0.0) | (d[1:] == 0.0))[-1]
-        want = np.concatenate([[1.0], path[k::-1]])
-        assert np.array_equal(exc.segment.values, want)
+    for path, exc, t, lw in zip(paths, excursions, t0, logw):
+        seg = StoppedSegment(ContinuousPath(step=h, values=np.array(path)),
+                             len(path) - 1, Hit.LOWER, t)
+        want = reversed_last_excursion(seg, 1.0)
+        assert np.array_equal(exc.segment.values[1:], want.segment.values[1:])
+        assert exc.origin_time == want.origin_time
+        assert abs(level * level + t - 2.0 * lw - path_integral_square(seg.path, t)) <= 1e-12
 
 
 def test_oracle_acceptance_matches_quadrature():
@@ -292,6 +298,14 @@ _ENGINE_DIGESTS = {
 }
 
 
+def _output_digest(out):
+    digest = hashlib.sha256()
+    for arr in out[:-1]:
+        digest.update(arr.tobytes())
+    digest.update(str(out[-1]).encode())
+    return digest.hexdigest()
+
+
 # the IS rows run a second time with path recording on, which must leave
 # every output unchanged
 _PINNED_CASES = (
@@ -310,8 +324,26 @@ def test_engine_outputs_pinned(engine, detection, occ_level, level, record):
     if record:
         assert len(out[-1]) == 4096
         out = out[:-1]
-    digest = hashlib.sha256()
-    for arr in out[:-1]:
-        digest.update(arr.tobytes())
-    digest.update(str(out[-1]).encode())
-    assert digest.hexdigest() == _ENGINE_DIGESTS[(engine, detection, occ_level, level)]
+    assert _output_digest(out) == _ENGINE_DIGESTS[(engine, detection, occ_level, level)]
+
+
+# The IS engine's digest as above, at step 2.0, level 2, bridge detection:
+# there 4 of the 4096 lanes stop on the level-0 coin with no crossing of 1
+# seen, so the engine takes each one's last crossing from its final cell
+# (at step 4e-3 none does).  Recorded before that fallback was rewritten.
+_GUARD_DIGESTS = {
+    None: "6a87d694bc1437fa954831fb75f12927ba40b2e5dcb2723b0d82c81853740f34",
+    1.5: "48f247c05a06e397b4bd622b2ac63aae93484967810e44299cbf75fe73fa0eff",
+}
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["stream", "record"])
+@pytest.mark.parametrize("occ_level", list(_GUARD_DIGESTS))
+def test_no_visit_guard_outputs_pinned(occ_level, record):
+    h = 2.0
+    out = _is_batch(RngStream(1).generator(_P_IS, 0), 4096, 2, h, occ_level,
+                    "bridge", int(HORIZON_CAP / h), record)
+    if record:
+        assert len(out[-1]) == 4096
+        out = out[:-1]
+    assert _output_digest(out) == _GUARD_DIGESTS[occ_level]
