@@ -10,8 +10,10 @@ Config files hold ``key = value`` lines (``#`` comments allowed) with
 the same names as the long flags; flags override file values; unknown
 keys are rejected.
 
-Exit codes: 0 success, 2 invalid configuration/arguments, 3 runtime or
-model error (explosion guard, zero acceptances, horizon cap).
+Exit codes: 0 success, 2 invalid configuration/arguments or an unusable
+path (a missing ``--config`` file, or an output directory that does not
+exist), 3 runtime or model error (explosion guard, zero acceptances,
+horizon cap).
 """
 
 import argparse
@@ -495,9 +497,14 @@ def main(argv=None) -> int:
             raise InvalidArgument(
                 "missing required option(s): "
                 + ", ".join("--" + m.replace("_", "-") for m in missing))
+        if args.workers < 1:
+            raise InvalidArgument("--workers must be at least 1")
         return args.fn(args)
     except InvalidArgument as exc:
         sys.stderr.write(f"error: code={exc.code} msg={exc}\n")
+        return 2
+    except OSError as exc:
+        sys.stderr.write(f"error: code=unusable-path msg={exc}\n")
         return 2
     except RarePathError as exc:
         sys.stderr.write(f"error: code={exc.code} msg={exc}\n")

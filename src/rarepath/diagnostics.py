@@ -231,6 +231,8 @@ def clamped_drift_family(mu: Callable, step: float, dim: int = 1,
     bona fide unit-mean density.  The stopping flag records the first
     grid time the member's running value reaches ``n``.
     """
+    if not step > 0.0:
+        raise InvalidArgument("step must be positive")
     n_grid = tuple(n_grid)
     members = np.array(n_grid, dtype=float)
     bound = members[:, None, None]
@@ -277,6 +279,8 @@ def inverse_bessel_family(step: float, n_grid=(8, 16, 32),
     misses most of the stopped mass at practical steps).  The draw
     exposes the raw time-``t`` value as the limit process.
     """
+    if not step > 0.0:
+        raise InvalidArgument("step must be positive")
     n_grid = tuple(n_grid)
     members = np.array(n_grid, dtype=float)
     eps = 1.0 / members[:, None]

@@ -392,8 +392,8 @@ def path_integral_square(path: ContinuousPath, stop_time: float) -> float:
     return total
 
 
-def _scale_log(y: float) -> float:
-    """log of integral_0^y exp(u^2) du, computed overflow-free."""
+def _scale_log_quad(y: float) -> float:
+    """log of integral_0^y exp(u^2) du, computed overflow-free by quadrature."""
     if y == 0.0:
         return -math.inf
     from scipy import integrate
@@ -404,15 +404,43 @@ def _scale_log(y: float) -> float:
     return y * y + math.log(g)
 
 
+# _scale_log_quad at y = 1, 2, ..., 27, the doubles it returns: the package
+# asks only for x = 1 and integer levels, and beyond 27 the hitting ratio
+# from 1 underflows.  Answering these from a table keeps scipy out of the
+# rejection oracle; tests pin every entry to the quadrature.
+_SCALE_LOG_AT_INT = dict(enumerate((
+    0.3802510526266498, 2.8004852070379194, 7.275549757142676,
+    13.954751177161011, 22.718531126302235, 33.529501322777996,
+    46.37142122330338, 61.23538260149257, 78.11589937839808,
+    97.00933182597365, 117.91313336338091, 140.82544906224965,
+    165.74488425119713, 192.6703629880732, 221.60103732378178,
+    252.53622685214185, 285.4753771270116, 320.41803027099684,
+    357.36380371077354, 396.3123744764426, 437.2634674003689,
+    480.21684610565313, 525.1723060269914, 572.1296689365665,
+    621.088778600923, 672.0494972990929, 725.0117030045387,
+), start=1))
+
+
+def _scale_log(y: float) -> float:
+    """log of integral_0^y exp(u^2) du: tabled at integers 1..27, else quad."""
+    tabled = _SCALE_LOG_AT_INT.get(y)
+    return _scale_log_quad(y) if tabled is None else tabled
+
+
 def ou_scale_ratio(x: float, big_level: float) -> float:
     """Probability that the unit OU process from ``x`` reaches
     ``big_level`` before 0, via its scale function.
 
     The scale function of ``dX = -X dt + dB`` has density ``exp(u^2)``;
     the ratio is evaluated in log-space so that large levels do not
-    overflow.  Absolute error is below 1e-10.  For levels beyond ~26 the
+    overflow.  Absolute error is below 1e-10.  For levels beyond 27 the
     true ratio underflows float64 and 0.0 is returned; use
     :func:`ou_scale_ratio_log` in that regime.
+
+    The scale function at ``1, 2, ..., 27`` comes from a table of the
+    quadrature's own doubles, so ``x = 1`` with an integer level (all the
+    package asks for) needs no scipy; any other argument, and so any
+    ``x != 1`` or level from 28 on, is integrated by ``scipy.integrate.quad``.
     """
     if x < 0.0 or x > big_level:
         raise InvalidArgument("need 0 <= x <= big_level")

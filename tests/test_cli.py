@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import rarepath
 from rarepath.cli import main
 
@@ -173,11 +175,67 @@ def test_workers_do_not_change_scaling(tmp_path):
         "N,is_cost,rejection_cost_per_effective,ratio"
 
 
-def test_cli_import_does_not_load_scipy_integrate():
-    # quadrature is imported where it is used, so start-up stays cheap
+_TINY_RUNS = {
+    "import": [],
+    "ou-estimate": ["ou-estimate", "--N", "2", "--replicas", "200", "--step", "0.01",
+                    "--seed", "1"],
+    "ou-oracle": ["ou-oracle", "--N", "3", "--attempts", "5000", "--step", "0.01",
+                  "--seed", "1"],
+    "ou-scaling": ["ou-scaling", "--levels", "2,3", "--replicas", "500",
+                   "--step", "0.01", "--seed", "1"],
+    "tightness": ["tightness", "--family", "bounded-drift", "--replicas", "500",
+                  "--step", "0.0625", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TINY_RUNS))
+def test_cli_does_not_load_scipy_integrate(case, tmp_path):
+    # quadrature is imported where it is used, and the scale function at the
+    # integer levels the oracle asks for is tabled, so start-up and these
+    # commands stay free of it; "import" only builds the parser
     src = os.path.dirname(os.path.dirname(rarepath.__file__))
-    code = ("import sys, rarepath.cli; rarepath.cli.build_parser(); "
-            "print('scipy.integrate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    argv = _TINY_RUNS[case]
+    if argv:
+        argv = argv + ["--out", str(tmp_path / "r.csv")]
+    code = ("import sys, rarepath.cli\n"
+            "argv = sys.argv[1:]\n"
+            "rc = rarepath.cli.main(argv) if argv else (rarepath.cli.build_parser(), 0)[1]\n"
+            "print(rc, 'scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+                         check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("case", ["config", "out", "dump", "outdir-env"])
+def test_unusable_path_exits_2(case, tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing"
+    check = ["measure-check", "--replicas", "100", "--seed", "1"]
+    argv = {
+        "config": ["ou-estimate", "--config", str(missing / "run.cfg")],
+        "out": check + ["--out", str(missing / "m.csv")],
+        "dump": ["ou-estimate", "--N", "2", "--replicas", "50", "--step", "0.01",
+                 "--seed", "1", "--out", str(tmp_path / "e.csv"),
+                 "--dump", str(missing / "d.csv")],
+        "outdir-env": check,
+    }[case]
+    if case == "outdir-env":
+        monkeypatch.setenv("RAREPATH_OUTDIR", str(missing))
+    assert _run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: code=unusable-path msg=")
+    assert str(missing) in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tightness", "--family", "bounded-drift", "--step", "0"],
+    ["tightness", "--family", "inverse-bessel", "--step", "-1"],
+    ["measure-check", "--workers", "0"],
+    ["measure-check", "--workers", "-2"],
+], ids=["step-0", "step-negative", "workers-0", "workers-negative"])
+def test_bad_step_or_workers_exits_2(argv, tmp_path, capsys):
+    rc = _run(argv + ["--replicas", "100", "--seed", "1",
+                      "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: code=invalid-argument msg=")
+    assert not (tmp_path / "x.csv").exists()

@@ -132,6 +132,14 @@ def test_profile_monotone_in_kappa():
         assert b <= a + 2.0 * math.hypot(sa, sb)
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan])
+def test_family_step_must_be_positive(step):
+    with pytest.raises(InvalidArgument):
+        clamped_drift_family(mu=lambda t, w, ws: np.cos(w[:, :1]), step=step)
+    with pytest.raises(InvalidArgument):
+        inverse_bessel_family(step=step)
+
+
 def test_profile_input_validation():
     fam = constant_family()
     with pytest.raises(InvalidArgument):

@@ -10,8 +10,9 @@ from rarepath import (ContinuousPath, Hit, InvalidArgument, LevelNeverReached,
                       RngStream, ou_scale_ratio, path_integral_square,
                       reversed_last_excursion, simulate_bessel3_complement,
                       simulate_brownian, simulate_ou_stopped)
-from rarepath.paths import (StoppedSegment, bridge_touch_probability,
-                            crossing_fraction, ou_scale_ratio_log)
+from rarepath.paths import (_SCALE_LOG_AT_INT, StoppedSegment, _scale_log_quad,
+                            bridge_touch_probability, crossing_fraction,
+                            ou_scale_ratio_log)
 
 # frozen by independent quadrature of the chi density with 3 degrees of
 # freedom: mean = 2*sqrt(2/pi)
@@ -191,6 +192,22 @@ def test_scale_ratio_endpoints_and_value():
         ou_scale_ratio(-0.1, 2.0)
     with pytest.raises(InvalidArgument):
         ou_scale_ratio(2.5, 2.0)
+
+
+def test_scale_log_table_is_the_quadrature():
+    assert sorted(_SCALE_LOG_AT_INT) == list(range(1, 28))
+    for k, tabled in _SCALE_LOG_AT_INT.items():
+        assert tabled == _scale_log_quad(float(k)), k
+
+
+@pytest.mark.parametrize("level", range(2, 31))
+def test_scale_ratio_at_integer_levels_matches_quadrature(level):
+    # 28..30 fall through the table to the quadrature itself
+    lo, hi = _scale_log_quad(1.0), _scale_log_quad(float(level))
+    assert ou_scale_ratio_log(1.0, float(level)) == lo - hi
+    assert ou_scale_ratio(1.0, float(level)) == (math.exp(lo - hi) if lo - hi > -745.0
+                                                 else 0.0)
+    assert (ou_scale_ratio(1.0, float(level)) == 0.0) == (level >= 28)
 
 
 @given(st.floats(min_value=1.2, max_value=20.0), st.floats(min_value=0.05, max_value=4.0))
