@@ -5,13 +5,11 @@ Everything here is exact or exhaustively enumerable, which is what makes
 the lattice the testing ground for the continuous constructions.
 """
 
-import numpy as np
-
-from rarepath import (BirthDeathKernel, FiniteChain, LatticeSpec, RngStream,
-                      h_transform_kernel, ou_chain_kernel,
-                      stationary_distribution)
-from rarepath.lattice import (conv_sample_many, enumerate_conditioned,
-                              first_return_ruin, tilt, weighted_ruin_sum)
+from rarepath import (BirthDeathKernel, LatticeSpec, RngStream,
+                      h_transform_kernel, ou_chain_kernel)
+from rarepath.lattice import (birth_death_chain, conv_sample_many,
+                              enumerate_conditioned, first_return_ruin, tilt,
+                              weighted_ruin_sum)
 
 SEED = 4
 spec = LatticeSpec(1)          # spacing 1/2, five states up to level 2
@@ -28,22 +26,14 @@ print("\nExhaustive weighted-path-sum identity:")
 w_sum = weighted_ruin_sum(cond, lambda k, d: 1.0 - tilt(spec, k) * d,
                           k_top, k_top)
 p_tilt = first_return_ruin(ou_chain_kernel(spec), k_top)
-p_sym = first_return_ruin(BirthDeathKernel(lambda k: 1.0 if k == 0 else 0.5,
-                                           spec), k_top)
+sym = BirthDeathKernel(lambda k: 1.0 if k == 0 else 0.5, spec)
+p_sym = first_return_ruin(sym, k_top)
 print(f"  sum over conditioned paths of prob x weight = {w_sum:.12f}")
 print(f"  ratio of the two first-return ruin probs    = {p_tilt / p_sym:.12f}")
 print(f"  gap = {abs(w_sum - p_tilt / p_sym):.2e}")
 
 print("\nSampling 'reach the top before 0' paths via the reversed chain:")
-m = k_top + 1
-kern = np.zeros((m, m))
-kern[0, 1] = 1.0
-kern[k_top, k_top - 1] = 1.0
-for k in range(1, k_top):
-    kern[k, k - 1] = kern[k, k + 1] = 0.5
-chain = FiniteChain(states=list(range(m)), kernel=kern)
-chain = FiniteChain(states=list(range(m)), kernel=kern,
-                    pi=stationary_distribution(chain))
+chain = birth_death_chain(sym, k_top)   # the symmetric walk, reflected
 enum = enumerate_conditioned(chain, lambda s: s, k_top, 1, 0, max_len=18)
 n = 20_000
 paths = conv_sample_many(chain, lambda s: s, k_top, 1, 0, RngStream(SEED), n)

@@ -10,10 +10,10 @@ Config files hold ``key = value`` lines (``#`` comments allowed) with
 the same names as the long flags; flags override file values; unknown
 keys are rejected.
 
-Exit codes: 0 success, 2 invalid configuration/arguments or an unusable
-path (a missing ``--config`` file, or an output directory that does not
-exist), 3 runtime or model error (explosion guard, zero acceptances,
-horizon cap).
+Exit codes: 0 success, 2 invalid configuration/arguments (a malformed
+spec or number list included) or an unusable path (a missing
+``--config`` file, or an output directory that does not exist), 3
+runtime or model error (explosion guard, zero acceptances, horizon cap).
 """
 
 import argparse
@@ -39,27 +39,31 @@ from .rng import RngStream
 __all__ = ["main"]
 
 
-def _parse_functional(spec: str) -> PathFunctional:
-    parts = spec.split(":")
-    kind = parts[0]
+def _parse_spec(what: str, spec: str, makers: dict):
+    """``makers[KIND](*FIELDS)`` for a ``KIND:FIELD:...`` spec; an unknown
+    kind, or fields its maker rejects, is an :class:`InvalidArgument`."""
+    kind, *fields = spec.split(":")
+    if kind not in makers:
+        raise InvalidArgument(f"unknown {what} {kind!r}")
     try:
-        if kind == "capped-duration":
-            return PathFunctional.capped_duration(float(parts[1]))
-        if kind == "occupation-above":
-            return PathFunctional.occupation_above(float(parts[1]), float(parts[2]))
-        if kind == "indicator":
-            return PathFunctional.indicator()
-    except (IndexError, ValueError) as exc:
-        raise InvalidArgument(f"bad functional spec {spec!r}") from exc
-    raise InvalidArgument(f"unknown functional {kind!r}")
+        return makers[kind](*fields)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"bad {what} spec {spec!r}: {exc}") from exc
 
 
-def _parse_floats(s: str):
-    return [float(x) for x in s.split(",") if x.strip()]
+_FUNCTIONALS = {
+    "capped-duration": lambda cap: PathFunctional.capped_duration(float(cap)),
+    "occupation-above": lambda level, cap: PathFunctional.occupation_above(
+        float(level), float(cap)),
+    "indicator": PathFunctional.indicator,
+}
 
 
-def _parse_ints(s: str):
-    return [int(x) for x in s.split(",") if x.strip()]
+def _parse_list(s: str, kind):
+    try:
+        return [kind(x) for x in s.split(",") if x.strip()]
+    except ValueError as exc:
+        raise InvalidArgument(f"bad {kind.__name__} list {s!r}") from exc
 
 
 def _load_config(path: str, known: set) -> dict:
@@ -115,7 +119,8 @@ def _report_rows(fields):
 
 
 def _cmd_ou_estimate(args):
-    query = OuQuery(level=args.level, functional=_parse_functional(args.functional),
+    query = OuQuery(level=args.level,
+                    functional=_parse_spec("functional", args.functional, _FUNCTIONALS),
                     replicas=args.replicas, step=args.step, seed=args.seed,
                     detection=args.detection)
     if args.dump:
@@ -140,7 +145,8 @@ def _cmd_ou_estimate(args):
 
 
 def _cmd_ou_oracle(args):
-    query = OuQuery(level=args.level, functional=_parse_functional(args.functional),
+    query = OuQuery(level=args.level,
+                    functional=_parse_spec("functional", args.functional, _FUNCTIONALS),
                     replicas=args.attempts, step=args.step, seed=args.seed,
                     detection=args.detection)
     rep = oracle_rejection(query, workers=args.workers)
@@ -158,7 +164,7 @@ def _cmd_ou_oracle(args):
 
 
 def _cmd_ou_scaling(args):
-    rep = scaling_report(_parse_ints(args.levels), args.step, args.replicas,
+    rep = scaling_report(_parse_list(args.levels, int), args.step, args.replicas,
                          args.seed, workers=args.workers)
     rows = [[r.level, r.is_cost_per_effective, r.rejection_cost_per_effective,
              r.ratio] for r in rep.rows]
@@ -170,34 +176,31 @@ def _cmd_ou_scaling(args):
     return 0
 
 
-def _parse_mark(spec: str) -> MarkDistribution:
-    parts = spec.split(":")
-    if parts[0] == "point":
-        return MarkDistribution.point_mass([float(x) for x in parts[1:]])
-    if parts[0] == "gauss":
-        return MarkDistribution.gaussian_shifted(float(parts[1]), float(parts[2]))
-    if parts[0] == "table":
-        nums = [float(x) for x in parts[1:]]
-        vals = nums[0::2]
-        probs = nums[1::2]
-        return MarkDistribution.discrete_table([[v] for v in vals], probs)
-    raise InvalidArgument(f"unknown mark spec {spec!r}")
+def _const_intensity(rate: str):
+    lam = float(rate)
+    return (lambda y: lam), lam
 
 
-def _parse_intensity(spec: str):
-    parts = spec.split(":")
-    if parts[0] == "const":
-        lam = float(parts[1])
-        return (lambda y: lam), lam
-    if parts[0] == "affine":
-        a, b = float(parts[1]), float(parts[2])
-        return (lambda y: a + b * abs(y)), None
-    raise InvalidArgument(f"unknown intensity spec {spec!r}")
+def _affine_intensity(a: str, b: str):
+    a, b = float(a), float(b)
+    return (lambda y: a + b * abs(y)), None
+
+
+# intensities map to (rate of the state, the constant rate or None)
+_INTENSITIES = {"const": _const_intensity, "affine": _affine_intensity}
+_MARKS = {
+    "point": lambda *z: MarkDistribution.point_mass([float(x) for x in z]),
+    "gauss": lambda mean, sd: MarkDistribution.gaussian_shifted(float(mean), float(sd)),
+    "table": lambda *pairs: MarkDistribution.discrete_table(
+        [[float(v)] for v in pairs[0::2]], [float(p) for p in pairs[1::2]]),
+}
 
 
 def _cmd_cpp_simulate(args):
-    g_state, const_rate = _parse_intensity(args.intensity)
-    mark = _parse_mark(args.mark)
+    mark = _parse_spec("mark", args.mark, _MARKS)
+    if args.intensity.split(":")[0] == "affine" and mark.dim != 1:
+        raise InvalidArgument(f"the affine intensity needs a 1-d mark, not dim {mark.dim}")
+    g_state, const_rate = _parse_spec("intensity", args.intensity, _INTENSITIES)
     stream = RngStream(args.seed)
     if args.method == "time-change":
         path = simulate_cpp_time_change(stream, g_state, mark, args.x0, args.horizon)
@@ -218,31 +221,28 @@ def _cmd_cpp_simulate(args):
 
 
 def _cmd_measure_check(args):
-    rows = []
-    gen = RngStream(args.seed).generator(1)
-    t = args.t
-    # drift exponential with constant unit drift: value from terminal point
-    z = gen.standard_normal(args.replicas)
-    m = np.exp(math.sqrt(t) * z - 0.5 * t)
-    rows.append(("exponential-unit-drift", "-", float(m.mean()),
-                 float(m.std(ddof=1) / math.sqrt(args.replicas))))
-    # counting density at u = 0.5 on a unit-rate counting process
-    gen = RngStream(args.seed).generator(2)
-    k = gen.poisson(t, size=args.replicas)
-    m = np.exp(-0.5 * k - (math.exp(-0.5) - 1.0) * t)
-    rows.append(("counting-u-0.5", "-", float(m.mean()),
-                 float(m.std(ddof=1) / math.sqrt(args.replicas))))
-    # intensity-change density 1 -> 2, both modes
-    gen = RngStream(args.seed).generator(3)
-    k = gen.poisson(t, size=args.replicas)
-    m = np.exp(k * math.log(2.0) - t)
-    rows.append(("intensity-1-to-2", "jump", float(m.mean()),
-                 float(m.std(ddof=1) / math.sqrt(args.replicas))))
-    m_lit = m * math.exp(-math.log(2.0) * t)
-    rows.append(("intensity-1-to-2", "compensated", float(m_lit.mean()),
-                 float(m_lit.std(ddof=1) / math.sqrt(args.replicas))))
+    if args.replicas < 2:
+        raise InvalidArgument("--replicas must be at least 2 for a standard error")
+    if not 0.0 < args.t < math.inf:
+        raise InvalidArgument("--t must be finite and positive")
+    t, n = args.t, args.replicas
+    gens = [RngStream(args.seed).generator(sub) for sub in (1, 2, 3)]
+    m_jump = np.exp(gens[2].poisson(t, size=n) * math.log(2.0) - t)
+    checks = [
+        # drift exponential with constant unit drift: value from terminal point
+        ("exponential-unit-drift", "-",
+         np.exp(math.sqrt(t) * gens[0].standard_normal(n) - 0.5 * t)),
+        # counting density at u = 0.5 on a unit-rate counting process
+        ("counting-u-0.5", "-",
+         np.exp(-0.5 * gens[1].poisson(t, size=n) - (math.exp(-0.5) - 1.0) * t)),
+        # intensity-change density 1 -> 2, both modes
+        ("intensity-1-to-2", "jump", m_jump),
+        ("intensity-1-to-2", "compensated", m_jump * math.exp(-math.log(2.0) * t)),
+    ]
+    rows = [(name, mode, float(m.mean()), float(m.std(ddof=1) / math.sqrt(n)))
+            for name, mode, m in checks]
     table = [[name, mode, mean, se, (mean - 1.0) / se if se else math.inf,
-              args.replicas] for name, mode, mean, se in rows]
+              n] for name, mode, mean, se in rows]
     out = _out_path(args, "measure_check.csv")
     write_csv(out, ["density", "mode", "mean", "stderr", "z_vs_one", "replicas"], table)
     sys.stdout.write(kv_lines(
@@ -252,15 +252,11 @@ def _cmd_measure_check(args):
 
 
 _FAMILIES = {
-    "constant": lambda args: diagnostics.constant_family(
-        n_grid=tuple(_parse_ints(args.n_grid)), t_grid=tuple(_parse_floats(args.t))),
-    "bounded-drift": lambda args: diagnostics.clamped_drift_family(
-        mu=lambda t, w, wstar: np.cos(w[:, :1]),
-        step=args.step, dim=1, n_grid=tuple(_parse_ints(args.n_grid)),
-        t_grid=tuple(_parse_floats(args.t))),
-    "inverse-bessel": lambda args: diagnostics.inverse_bessel_family(
-        step=args.step, n_grid=tuple(_parse_ints(args.n_grid)),
-        t_grid=tuple(_parse_floats(args.t))),
+    "constant": lambda step, grids: diagnostics.constant_family(**grids),
+    "bounded-drift": lambda step, grids: diagnostics.clamped_drift_family(
+        mu=lambda t, w, wstar: np.cos(w[:, :1]), step=step, dim=1, **grids),
+    "inverse-bessel": lambda step, grids: diagnostics.inverse_bessel_family(
+        step=step, **grids),
 }
 
 
@@ -269,8 +265,10 @@ def _cmd_tightness(args):
         raise InvalidArgument(f"unknown family {args.family!r}")
     if args.n_grid is None:
         args.n_grid = {"inverse-bessel": "8,16,32"}.get(args.family, "1,2,4")
-    family = _FAMILIES[args.family](args)
-    profile = diagnostics.q_tail_profile(family, _parse_floats(args.kappas),
+    family = _FAMILIES[args.family](args.step, {
+        "n_grid": tuple(_parse_list(args.n_grid, int)),
+        "t_grid": tuple(_parse_list(args.t, float))})
+    profile = diagnostics.q_tail_profile(family, _parse_list(args.kappas, float),
                                          args.replicas, args.seed,
                                          floor_threshold=args.floor_threshold)
     rows = list(profile_to_csv_rows(profile))
@@ -284,6 +282,8 @@ def _cmd_tightness(args):
 
 
 def _cmd_chain_demo(args):
+    if args.samples < 1:
+        raise InvalidArgument("--samples must be at least 1")
     spec = lattice.LatticeSpec(n=args.lattice_n)
     level = args.level
     k_top = spec.index_of(float(level))
@@ -300,12 +300,12 @@ def _cmd_chain_demo(args):
     kern_ou = lattice.ou_chain_kernel(spec)
     w_sum = lattice.weighted_ruin_sum(
         kern_cond, lambda k, d: 1.0 - lattice.tilt(spec, k) * d, k_top, k_top)
+    kern_sym = lattice.BirthDeathKernel(lambda k: 1.0 if k == 0 else 0.5, spec)
     p_ou = lattice.first_return_ruin(kern_ou, k_top)
-    p_sym = lattice.first_return_ruin(
-        lattice.BirthDeathKernel(lambda k: 1.0 if k == 0 else 0.5, spec), k_top)
+    p_sym = lattice.first_return_ruin(kern_sym, k_top)
     identity_gap = abs(w_sum - p_ou / p_sym)
     # conditioned sampler vs enumeration at demo scale
-    chain = _demo_chain(k_top)
+    chain = lattice.birth_death_chain(kern_sym, k_top)
     enum = lattice.enumerate_conditioned(chain, lambda s: s, k_top, 1, 0, 18)
     paths = lattice.conv_sample_many(chain, lambda s: s, k_top, 1, 0,
                                      RngStream(args.seed, 1), args.samples)
@@ -325,20 +325,6 @@ def _cmd_chain_demo(args):
     write_csv(out, ["check", "value"], rows)
     sys.stdout.write(kv_lines([(r[0], r[1]) for r in rows] + [("report", out)]))
     return 0
-
-
-def _demo_chain(k_top: int):
-    """Reflecting symmetric walk on 0..k_top as a finite chain."""
-    m = k_top + 1
-    kern = np.zeros((m, m))
-    kern[0, 1] = 1.0
-    kern[k_top, k_top - 1] = 1.0
-    for k in range(1, k_top):
-        kern[k, k + 1] = 0.5
-        kern[k, k - 1] = 0.5
-    chain = lattice.FiniteChain(states=list(range(m)), kernel=kern)
-    pi = lattice.stationary_distribution(chain)
-    return lattice.FiniteChain(states=list(range(m)), kernel=kern, pi=pi)
 
 
 def _chi_square_paths(enum, paths, n_samples):

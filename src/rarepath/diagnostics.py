@@ -112,6 +112,10 @@ def _column_stats(family, replicas, seed, columns) -> dict:
     by ``.sum(axis=-1)`` and a stacked ``@``, exactly as a 1-d sum and dot."""
     if replicas < 1:
         raise InvalidArgument("replicas must be positive")
+    if not family.n_grid or not family.t_grid:
+        raise InvalidArgument("the family needs at least one member and one time")
+    if not all(0.0 < t < math.inf for t in family.t_grid):
+        raise InvalidArgument("times must be finite and positive")
     out = {}
     for ci, t in enumerate(family.t_grid):
         sums = 0.0  # (columns, [sum, sum of squares], members)
@@ -144,8 +148,10 @@ def q_tail_profile(family: MartingaleFamily, kappa_grid, replicas: int,
     Anything else is inconclusive.
     """
     kappas = [float(k) for k in kappa_grid]
-    if not kappas or any(k <= 0 for k in kappas) or sorted(kappas) != kappas:
+    if not kappas or any(not k > 0 for k in kappas) or sorted(kappas) != kappas:
         raise InvalidArgument("kappa_grid must be positive and increasing")
+    if not 0.0 < floor_threshold < math.inf:
+        raise InvalidArgument("floor_threshold must be finite and positive")
 
     def tails(draw):
         v = draw.values
@@ -231,8 +237,8 @@ def clamped_drift_family(mu: Callable, step: float, dim: int = 1,
     bona fide unit-mean density.  The stopping flag records the first
     grid time the member's running value reaches ``n``.
     """
-    if not step > 0.0:
-        raise InvalidArgument("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise InvalidArgument("step must be finite and positive")
     n_grid = tuple(n_grid)
     members = np.array(n_grid, dtype=float)
     bound = members[:, None, None]
@@ -279,8 +285,8 @@ def inverse_bessel_family(step: float, n_grid=(8, 16, 32),
     misses most of the stopped mass at practical steps).  The draw
     exposes the raw time-``t`` value as the limit process.
     """
-    if not step > 0.0:
-        raise InvalidArgument("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise InvalidArgument("step must be finite and positive")
     n_grid = tuple(n_grid)
     members = np.array(n_grid, dtype=float)
     eps = 1.0 / members[:, None]

@@ -67,7 +67,7 @@ class MarkDistribution:
     @staticmethod
     def gaussian_shifted(mean, sd) -> "MarkDistribution":
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        if sd <= 0.0:
+        if not sd > 0.0:
             raise InvalidArgument("sd must be positive")
         return MarkDistribution("gaussian", dim=mean.size, params=(mean, float(sd)))
 
@@ -206,8 +206,8 @@ def simulate_cpp_time_change(stream: RngStream, g_state: Callable,
     bound that rules out explosion; if more than ``max_jumps`` land
     before the horizon the simulation aborts instead of hanging.
     """
-    if horizon <= 0.0:
-        raise InvalidArgument("horizon must be positive")
+    if not 0.0 < horizon < np.inf:
+        raise InvalidArgument("horizon must be finite and positive")
     gen = stream.generator()
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     times, marks = [], []
@@ -244,8 +244,8 @@ def simulate_cpp_thinning(stream: RngStream, g: IntensityFn, g_bound: float,
     """
     if g_bound <= 0.0:
         raise InvalidArgument("g_bound must be positive")
-    if horizon <= 0.0:
-        raise InvalidArgument("horizon must be positive")
+    if not 0.0 < horizon < np.inf:
+        raise InvalidArgument("horizon must be finite and positive")
     gen = stream.generator()
     x0_arr = np.atleast_1d(np.asarray(x0, dtype=float))
     times, marks = [], []

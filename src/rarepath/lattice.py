@@ -2,6 +2,10 @@
 change-of-measure weights, finite-chain time reversal, and
 exhaustive-enumeration oracles.
 
+A walk's laws are stated once: :func:`birth_death_chain` is the walk
+reflected at both ends with its detailed-balance stationary law, and
+:func:`first_return_ruin` reads ruin off its log-space scale function.
+
 Lattice states are stored as integer multiples of the spacing so that no
 float drift accumulates along a path; a :class:`LatticeSpec` carries the
 dyadic spacing ``2**-n`` whose square is exactly the time step
@@ -39,6 +43,7 @@ __all__ = [
     "birth_death_ruin",
     "weighted_ruin_sum",
     "first_return_ruin",
+    "birth_death_chain",
 ]
 
 MAX_CHAIN_STEPS = 10 ** 9
@@ -306,36 +311,17 @@ def _is_irreducible(kern: np.ndarray) -> bool:
     return bool(np.all(reach(adj)) and np.all(reach(adj.T)))
 
 
-def _is_tridiagonal(kern: np.ndarray) -> bool:
-    idx = np.arange(len(kern))
-    off_band = np.abs(idx[:, None] - idx[None, :]) > 1
-    return bool(np.all(kern[off_band] == 0.0))
-
-
 def stationary_distribution(chain: FiniteChain) -> np.ndarray:
-    """Stationary probability vector of an irreducible finite kernel.
-
-    Birth-death (tridiagonal) kernels use the detailed-balance recursion
-    ``pi[k+1] = pi[k] * up[k] / down[k+1]``; anything else goes through a
+    """Stationary probability vector of an irreducible finite kernel, by a
     dense linear solve.  The result satisfies ``pi K = pi`` to 1e-10.
+
+    Birth-death walks need no solve: :func:`birth_death_chain` carries
+    their detailed-balance law.
     """
     kern = chain.kernel
     if not _is_irreducible(kern):
         raise InvalidArgument("kernel is reducible; stationary law not unique")
     m = len(kern)
-    if _is_tridiagonal(kern) and m > 1:
-        pi = np.empty(m)
-        pi[0] = 1.0
-        for k in range(m - 1):
-            up = kern[k, k + 1]
-            down = kern[k + 1, k]
-            if up <= 0.0 or down <= 0.0:
-                break
-            pi[k + 1] = pi[k] * up / down
-        else:
-            pi = pi / pi.sum()
-            if np.max(np.abs(pi @ kern - pi)) <= 1e-10:
-                return pi
     a = kern.T - np.eye(m)
     a[-1, :] = 1.0
     b = np.zeros(m)
@@ -430,28 +416,44 @@ def birth_death_ruin(up_prob: Callable[[int], Fraction], start: int,
     return numer / total
 
 
+def _interior_ups(kernel: BirthDeathKernel, top: int) -> np.ndarray:
+    """Up-probabilities of states ``1..top-1``, each evaluated once."""
+    if top < 1:
+        raise InvalidArgument("top must be a positive state index")
+    ups = np.array([kernel.up(k) for k in range(1, top)], dtype=float)
+    if np.any((ups <= 0.0) | (ups >= 1.0)):
+        raise InvalidArgument("interior up-probabilities must lie in (0, 1)")
+    return ups
+
+
+def birth_death_chain(kernel: BirthDeathKernel, top: int) -> FiniteChain:
+    """The walk on ``0..top`` reflected at both ends (0 steps up and
+    ``top`` down surely; interior rows from ``kernel.up``), with its
+    detailed-balance stationary law ``pi[k+1] = pi[k] * up[k] / down[k+1]``.
+    """
+    ups = _interior_ups(kernel, top)
+    up = np.append(1.0, ups)            # K[k, k+1] for k = 0..top-1
+    down = np.append(1.0 - ups, 1.0)    # K[k+1, k]
+    pi = np.ones(top + 1)
+    for k in range(top):
+        pi[k + 1] = pi[k] * up[k] / down[k]
+    return FiniteChain(states=list(range(top + 1)),
+                       kernel=np.diag(up, 1) + np.diag(down, -1), pi=pi / pi.sum())
+
+
 def first_return_ruin(kernel: BirthDeathKernel, top: int) -> float:
     """Probability that the walk started at ``top`` reaches 0 before
-    returning to ``top`` (first step included in the excursion)."""
-    chain = _birth_death_to_finite(kernel, top)
-    # from top an up-move leaves [0, top] and counts as an immediate return
-    p_down = hit_probability(chain, top - 1, hit={0}, avoid={top})
-    return (1.0 - kernel.up(top)) * p_down
+    returning to ``top`` (first step included in the excursion).
 
-
-def _birth_death_to_finite(kernel: BirthDeathKernel, k_max: int) -> FiniteChain:
-    """Dense truncation of a birth-death kernel to states ``0..k_max``
-    with absorbing endpoints (transition mass off the range is folded
-    into staying)."""
-    m = k_max + 1
-    kern = np.zeros((m, m))
-    kern[0, 0] = 1.0
-    kern[k_max, k_max] = 1.0
-    for k in range(1, k_max):
-        up = kernel.up(k)
-        kern[k, k + 1] = up
-        kern[k, k - 1] = 1.0 - up
-    return FiniteChain(states=list(range(m)), kernel=kern)
+    An up-move from ``top`` is an immediate return; from ``top - 1`` the
+    walk reaches 0 first with probability ``rho[top-1] / sum(rho)``, by the
+    scale-function increments ``rho[j] = prod_{i<=j} down[i]/up[i]``
+    (``rho[0] = 1``), summed in log space so that no level underflows.
+    """
+    ups = _interior_ups(kernel, top)
+    log_rho = np.concatenate(([0.0], np.cumsum(np.log1p(-ups) - np.log(ups))))
+    return float((1.0 - kernel.up(top))
+                 * np.exp(log_rho[top - 1] - np.logaddexp.reduce(log_rho)))
 
 
 def weighted_ruin_sum(kernel: BirthDeathKernel, weight_term: Callable[[int, int], float],

@@ -86,14 +86,14 @@ class PathFunctional:
     @staticmethod
     def capped_duration(cap: float) -> "PathFunctional":
         """min(segment duration, cap)."""
-        if cap <= 0.0:
+        if not cap > 0.0:
             raise InvalidArgument("cap must be positive")
         return PathFunctional("capped-duration", cap=float(cap))
 
     @staticmethod
     def occupation_above(level: float, cap: float) -> "PathFunctional":
         """min(time spent above ``level``, cap), straddle-cell convention."""
-        if cap <= 0.0:
+        if not cap > 0.0:
             raise InvalidArgument("cap must be positive")
         return PathFunctional("occupation-above", cap=float(cap), level=float(level))
 
@@ -106,7 +106,7 @@ class PathFunctional:
     def custom(fn: Callable, cap: float) -> "PathFunctional":
         """``fn(excursion: ReversedExcursion, duration: float) -> float``,
         with ``|fn| <= cap`` enforced."""
-        if cap <= 0.0:
+        if not cap > 0.0:
             raise InvalidArgument("cap must be positive")
         return PathFunctional("custom", cap=float(cap), fn=fn)
 
@@ -177,8 +177,8 @@ class OuQuery:
             raise InvalidArgument("level must be an integer >= 2")
         if self.replicas < 1:
             raise InvalidArgument("replicas must be >= 1")
-        if self.step <= 0.0:
-            raise InvalidArgument("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise InvalidArgument("step must be finite and positive")
         if self.detection not in ("grid", "bridge"):
             raise InvalidArgument("detection must be 'grid' or 'bridge'")
 
@@ -640,12 +640,16 @@ def scaling_report(levels, step: float, replicas: int, seed: int,
     acceptance probability`` with the acceptance taken from quadrature
     (measuring it by simulation is exactly what becomes infeasible for
     large levels); attempt cost comes from a capped Monte Carlo run.
-    Log-log slopes are reported descriptively, not asserted.
+    Log-log slopes, fitted over at least two distinct levels, are
+    reported descriptively, not asserted.
     """
+    # every level must make a valid query, and a slope needs two of them
+    levels = [OuQuery(lv, PathFunctional.indicator(), replicas, step, seed,
+                      detection).level for lv in levels]
+    if len(set(levels)) < 2:
+        raise InvalidArgument("the cost exponents need at least two distinct levels")
     rows = []
     for lv in levels:
-        if lv < 2:
-            raise InvalidArgument("levels must be >= 2")
         xi, t0, occ, logw, steps = _run_is(seed, lv, step, replicas, None,
                                            detection, workers)
         rep = importance_estimate(payoffs=np.ones_like(logw), log_weights=logw)

@@ -17,21 +17,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rarepath import (BirthDeathKernel, FiniteChain,
-                      IntensityFn, JumpPath, LatticeSpec, RngStream,
-                      continuous_exponential, counting_density,
+from rarepath import (BirthDeathKernel, IntensityFn, JumpPath, LatticeSpec,
+                      RngStream, continuous_exponential, counting_density,
                       cpp_intensity_density, h_transform_kernel,
                       importance_estimate, ou_chain_kernel, ou_scale_ratio,
-                      scaling_report, simulate_brownian,
-                      stationary_distribution)
+                      scaling_report, simulate_brownian)
 from rarepath.cli import main as cli_main
 from rarepath.diagnostics import (clamped_drift_family,
                                   inverse_bessel_family, q_tail_profile,
                                   unity_check)
 from rarepath.jumps import thinning_counts, time_change_counts
-from rarepath.lattice import (birth_death_ruin, conv_sample_many,
-                              enumerate_conditioned, first_return_ruin,
-                              tilt, weighted_ruin_sum)
+from rarepath.lattice import (birth_death_chain, birth_death_ruin,
+                              conv_sample_many, enumerate_conditioned,
+                              first_return_ruin, tilt, weighted_ruin_sum)
 from rarepath.passage import _run_is, _run_rej
 
 SEED = 20260811
@@ -305,21 +303,13 @@ def test_criterion_6_chain_exactness():
     w_sum = weighted_ruin_sum(cond, lambda k, d: 1.0 - tilt(spec, k) * d,
                               k_top, k_top, tol=1e-16)
     p_tilted = first_return_ruin(ou_chain_kernel(spec), k_top)
-    p_sym = first_return_ruin(
-        BirthDeathKernel(lambda k: 1.0 if k == 0 else 0.5, spec), k_top)
+    sym = BirthDeathKernel(lambda k: 1.0 if k == 0 else 0.5, spec)
+    p_sym = first_return_ruin(sym, k_top)
     assert abs(w_sum - p_tilted / p_sym) <= 1e-10
     assert p_tilted == pytest.approx(float(Fraction(135, 272)), abs=1e-14)
 
     # conditioned sampler against exact enumeration, chi-square at 1e5
-    m = k_top + 1
-    kern = np.zeros((m, m))
-    kern[0, 1] = 1.0
-    kern[k_top, k_top - 1] = 1.0
-    for k in range(1, k_top):
-        kern[k, k - 1] = kern[k, k + 1] = 0.5
-    chain = FiniteChain(states=list(range(m)), kernel=kern)
-    chain = FiniteChain(states=list(range(m)), kernel=kern,
-                        pi=stationary_distribution(chain))
+    chain = birth_death_chain(sym, k_top)
     enum = enumerate_conditioned(chain, lambda s: s, k_top, 1, 0, max_len=18)
     assert sum(enum.probs.values()) + enum.truncated_mass == pytest.approx(
         1.0, abs=1e-10)

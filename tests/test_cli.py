@@ -227,15 +227,70 @@ def test_unusable_path_exits_2(case, tmp_path, monkeypatch, capsys):
     assert str(missing) in err[0]
 
 
-@pytest.mark.parametrize("argv", [
-    ["tightness", "--family", "bounded-drift", "--step", "0"],
-    ["tightness", "--family", "inverse-bessel", "--step", "-1"],
-    ["measure-check", "--workers", "0"],
-    ["measure-check", "--workers", "-2"],
-], ids=["step-0", "step-negative", "workers-0", "workers-negative"])
-def test_bad_step_or_workers_exits_2(argv, tmp_path, capsys):
-    rc = _run(argv + ["--replicas", "100", "--seed", "1",
-                      "--out", str(tmp_path / "x.csv")])
+_BAD_VALUES = {
+    "step-0": ["tightness", "--family", "bounded-drift", "--step", "0"],
+    "step-negative": ["tightness", "--family", "inverse-bessel", "--step", "-1"],
+    "workers-0": ["measure-check", "--workers", "0"],
+    "workers-negative": ["measure-check", "--workers", "-2"],
+    "scaling-one-level": ["ou-scaling", "--levels", "2"],
+    "scaling-repeated-level": ["ou-scaling", "--levels", "2,2"],
+    "scaling-no-levels": ["ou-scaling", "--levels", ""],
+    "scaling-level-not-int": ["ou-scaling", "--levels", "2,x"],
+    "scaling-step-negative": ["ou-scaling", "--levels", "2,3", "--step", "-1"],
+    "scaling-step-nan": ["ou-scaling", "--levels", "2,3", "--step", "nan"],
+    "scaling-replicas-0": ["ou-scaling", "--levels", "2,3", "--replicas", "0"],
+    "measure-replicas-1": ["measure-check", "--replicas", "1"],
+    "measure-replicas-0": ["measure-check", "--replicas", "0"],
+    "measure-t-negative": ["measure-check", "--t", "-1"],
+    "measure-t-nan": ["measure-check", "--t", "nan"],
+    "tightness-no-times": ["tightness", "--family", "constant", "--t", ""],
+    "tightness-t-negative": ["tightness", "--family", "bounded-drift", "--t", "-1",
+                             "--step", "0.25"],
+    "tightness-t-inf": ["tightness", "--family", "constant", "--t", "inf"],
+    "tightness-step-inf": ["tightness", "--family", "inverse-bessel", "--step", "inf"],
+    "tightness-no-members": ["tightness", "--family", "constant", "--n-grid", ""],
+    "tightness-kappa-not-float": ["tightness", "--family", "constant",
+                                  "--kappas", "2,x"],
+    "tightness-kappa-nan": ["tightness", "--family", "constant", "--kappas", "2,nan"],
+    "tightness-floor-nan": ["tightness", "--family", "constant",
+                            "--floor-threshold", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_VALUES))
+def test_bad_step_or_workers_exits_2(case, tmp_path, capsys):
+    # the case's own flags come last, so they win over these defaults
+    command, *flags = _BAD_VALUES[case]
+    rc = _run([command, "--replicas", "100", "--seed", "1",
+               "--out", str(tmp_path / "x.csv"), *flags])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: code=invalid-argument msg=")
+    err = capsys.readouterr().err
+    assert err.startswith("error: code=invalid-argument msg=")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cpp-simulate", "--mark", "gauss:1"],
+    ["cpp-simulate", "--mark", "point:x"],
+    ["cpp-simulate", "--intensity", "affine:1"],
+    ["cpp-simulate", "--intensity", "const:x"],
+    ["cpp-simulate", "--mark", "point:1:2"],
+    ["chain-demo", "--samples", "0"],
+    ["ou-estimate", "--N", "2", "--replicas", "10", "--step", "nan"],
+    ["ou-estimate", "--N", "2", "--replicas", "10", "--step", "inf"],
+    ["ou-estimate", "--N", "2", "--replicas", "10", "--step", "0.01",
+     "--functional", "capped-duration:nan"],
+    ["cpp-simulate", "--mark", "gauss:0:nan"],
+    ["cpp-simulate", "--horizon", "nan"],
+    ["cpp-simulate", "--method", "thinning", "--bound", "32", "--horizon", "inf"],
+], ids=["mark-gauss-short", "mark-not-float", "intensity-affine-short",
+        "intensity-not-float", "affine-on-2d-mark", "samples-0", "step-nan",
+        "step-inf", "cap-nan", "mark-sd-nan", "horizon-nan", "horizon-inf"])
+def test_malformed_spec_or_value_exits_2(argv, tmp_path, capsys):
+    rc = _run(argv + ["--seed", "1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: code=invalid-argument msg=")
+    assert err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()

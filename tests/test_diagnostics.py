@@ -157,6 +157,30 @@ def test_profile_input_validation():
         stopped_tail(one_row, replicas=10, seed=1)
 
 
+@pytest.mark.parametrize("statistic", [
+    lambda fam: q_tail_profile(fam, [2.0], replicas=10, seed=1),
+    lambda fam: stopped_tail(fam, replicas=10, seed=1),
+    lambda fam: unity_check(fam, replicas=10, seed=1),
+], ids=["q_tail_profile", "stopped_tail", "unity_check"])
+def test_statistics_need_members_and_finite_positive_times(statistic):
+    # an empty grid would give a verdict over no cells at all
+    for fam in (constant_family(n_grid=()), constant_family(t_grid=()),
+                constant_family(t_grid=(1.0, -1.0)), constant_family(t_grid=(0.0,)),
+                constant_family(t_grid=(math.inf,)), constant_family(t_grid=(math.nan,))):
+        with pytest.raises(InvalidArgument):
+            statistic(fam)
+
+
+@pytest.mark.parametrize("make", [
+    lambda step: clamped_drift_family(lambda t, w, ws: 0.0 * w, step=step),
+    lambda step: inverse_bessel_family(step=step),
+], ids=["clamped-drift", "inverse-bessel"])
+def test_family_step_must_be_finite_and_positive(make):
+    for step in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidArgument):
+            make(step)
+
+
 # sha256 pins of every tightness statistic: profile entries, complements,
 # means and verdict, the stopped tails, and unity_check in both the
 # "auto" and the "member" mode, each as the repr of its (key, value)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -11,21 +12,45 @@ from rarepath import (BirthDeathKernel, ChainPath, FiniteChain,
                       enumerate_conditioned, h_transform_kernel,
                       ou_chain_kernel, reversal_kernel, simulate_chain,
                       stationary_distribution)
-from rarepath.lattice import (birth_death_ruin, conv_sample_many,
-                              first_return_ruin, hit_probability, tilt,
-                              weighted_ruin_sum)
+from rarepath.lattice import (birth_death_chain, birth_death_ruin,
+                              conv_sample_many, first_return_ruin,
+                              hit_probability, tilt, weighted_ruin_sum)
+
+
+def _symmetric(spec):
+    return BirthDeathKernel(lambda k: 1.0 if k == 0 else 0.5, spec)
 
 
 def _reflecting_walk(k_top):
-    m = k_top + 1
+    return birth_death_chain(_symmetric(LatticeSpec(0)), k_top)
+
+
+def _hand_built_reflecting_kernel(kernel, top):
+    """Reference for :func:`birth_death_chain`: the reflecting walk written
+    out entry by entry."""
+    m = top + 1
     kern = np.zeros((m, m))
     kern[0, 1] = 1.0
-    kern[k_top, k_top - 1] = 1.0
-    for k in range(1, k_top):
-        kern[k, k - 1] = kern[k, k + 1] = 0.5
-    chain = FiniteChain(states=list(range(m)), kernel=kern)
-    return FiniteChain(states=list(range(m)), kernel=kern,
-                       pi=stationary_distribution(chain))
+    kern[top, top - 1] = 1.0
+    for k in range(1, top):
+        up = kernel.up(k)
+        kern[k, k + 1] = up
+        kern[k, k - 1] = 1.0 - up
+    return kern
+
+
+# stationary laws of the reflecting walks on [0, 2], as the detailed-balance
+# recursion that stationary_distribution applied to tridiagonal kernels gave
+_RECORDED_PI = {
+    ("symmetric", 1): [0.125, 0.25, 0.25, 0.25, 0.125],
+    ("symmetric", 2): [0.0625, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.125,
+                       0.0625],
+    ("ou", 1): [0.2678571428571428, 0.42857142857142855, 0.2142857142857143,
+                0.07142857142857144, 0.01785714285714286],
+    ("ou", 2): [0.14041708669354838, 0.2643145161290323, 0.22026209677419356,
+                0.1622983870967742, 0.10549395161290323, 0.06028225806451613,
+                0.030141129032258063, 0.01310483870967742, 0.0036857358870967744],
+}
 
 
 def test_lattice_spec_dyadic_exactness():
@@ -217,6 +242,56 @@ def test_hit_probability_gamblers_ruin():
         assert p == pytest.approx(x / 4.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("walk,n", sorted(_RECORDED_PI))
+def test_birth_death_chain_matches_reference(walk, n):
+    spec = LatticeSpec(n)
+    kernel = ou_chain_kernel(spec) if walk == "ou" else _symmetric(spec)
+    top = spec.index_of(2.0)
+    chain = birth_death_chain(kernel, top)
+    assert chain.states == list(range(top + 1))
+    assert (chain.kernel == _hand_built_reflecting_kernel(kernel, top)).all()
+    assert chain.pi.tolist() == _RECORDED_PI[(walk, n)]
+
+
+def test_conv_sample_many_on_birth_death_chain_pinned():
+    # sha256 of 2 000 paths, recorded on the hand-built symmetric walk with
+    # the recursion's stationary law
+    paths = conv_sample_many(_reflecting_walk(4), lambda s: s, 4, 1, 0,
+                             RngStream(12), 2000)
+    digest = hashlib.sha256()
+    for p in paths:
+        digest.update(p.states.astype(np.int64).tobytes() + b"|")
+    assert digest.hexdigest() == \
+        "33c72a7821f92031a2d84973cd306938786d43c3af387dccf2f0fba8ebdcb3e8"
+
+
+def test_first_return_ruin_against_exact_rational():
+    # the up-probabilities are floats, so their Fractions define the walk
+    # exactly and birth_death_ruin gives its ruin probability with no error
+    for n in range(5):
+        spec = LatticeSpec(n)
+        for kernel in (ou_chain_kernel(spec), _symmetric(spec)):
+            for level in (2, 3, 4):
+                top = spec.index_of(float(level))
+                from_below = birth_death_ruin(lambda k: Fraction(kernel.up(k)),
+                                              top - 1, 0, top)
+                exact = (1 - Fraction(kernel.up(top))) * (1 - from_below)
+                assert first_return_ruin(kernel, top) == pytest.approx(
+                    float(exact), rel=5e-15)
+
+
+@pytest.mark.parametrize("build", [first_return_ruin, birth_death_chain])
+def test_degenerate_walks_rejected(build):
+    spec = LatticeSpec(1)
+    # h_transform_kernel forbids the step from one notch below the top
+    for kernel in (h_transform_kernel(spec, 2), BirthDeathKernel(lambda k: 1.0, spec),
+                   BirthDeathKernel(lambda k: 0.0, spec)):
+        with pytest.raises(InvalidArgument):
+            build(kernel, 4)
+    with pytest.raises(InvalidArgument):
+        build(_symmetric(spec), 0)
+
+
 def test_weighted_ruin_sum_identity_five_states():
     # exhaustive weighted path summation equals the ratio of the two
     # first-return ruin probabilities (verified to 1e-12; cf. the exact
@@ -228,8 +303,7 @@ def test_weighted_ruin_sum_identity_five_states():
     w_sum = weighted_ruin_sum(cond, lambda k, d: 1.0 - tilt(spec, k) * d,
                               k_top, k_top)
     p_ou = first_return_ruin(ou_chain_kernel(spec), k_top)
-    p_sym = first_return_ruin(BirthDeathKernel(lambda k: 1.0 if k == 0 else 0.5,
-                                               spec), k_top)
+    p_sym = first_return_ruin(_symmetric(spec), k_top)
     assert p_sym == pytest.approx(1.0 / 8.0, abs=1e-15)
     assert w_sum == pytest.approx(p_ou / p_sym, abs=1e-12)
     assert w_sum == pytest.approx(float(Fraction(135, 272) / Fraction(1, 8)), abs=1e-12)

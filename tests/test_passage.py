@@ -261,6 +261,20 @@ def test_query_validation():
         OuQuery(level=2, functional=f, replicas=0, step=1e-3, seed=1)
     with pytest.raises(InvalidArgument):
         OuQuery(level=2, functional=f, replicas=10, step=-1e-3, seed=1)
+    for step in (math.nan, math.inf):
+        with pytest.raises(InvalidArgument):
+            OuQuery(level=2, functional=f, replicas=10, step=step, seed=1)
+
+
+@pytest.mark.parametrize("levels,step,replicas", [
+    ([2], 1e-2, 10), ([2, 2], 1e-2, 10), ([], 1e-2, 10), ([2, 2.5], 1e-2, 10),
+    ([2, 3], -1.0, 10), ([2, 3], math.nan, 10), ([2, 3], 1e-2, 0),
+], ids=["one-level", "repeated-level", "no-levels", "fractional-level",
+        "step-negative", "step-nan", "replicas-0"])
+def test_scaling_report_validates_before_simulating(levels, step, replicas):
+    # a slope needs two distinct levels, and each level must be a valid query
+    with pytest.raises(InvalidArgument):
+        scaling_report(levels, step=step, replicas=replicas, seed=1)
 
 
 def test_scaling_report_shape_and_monotone_cost():
