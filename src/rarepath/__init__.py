@@ -15,6 +15,7 @@ jumps        compound Poisson simulation (time change, thinning), compensators
 densities    log-space density accumulators and the weighted estimator
 lattice      nearest-neighbour walks, conditioned kernels, reversal, oracles
 passage      the conditioned-OU estimator, rejection oracle, cost scaling
+_native      builds and loads the compiled passage lane steps (_lanes.c)
 diagnostics  reweighted tail profiles, stopped tails, unit-mean checks
 cli          the ``rarepath`` command
 """
@@ -28,8 +29,8 @@ from .diagnostics import (FamilyDraw, MartingaleFamily, TightnessProfile,
                           unity_check)
 from .errors import (BoundViolation, ExplosionSuspected, HorizonExpiredError,
                      InfeasibleConditioning, InvalidArgument, InvalidIntensity,
-                     InvalidWeight, LevelNeverReached, NonterminationSuspected,
-                     RarePathError, ZeroAcceptance)
+                     InvalidWeight, KernelUnavailable, LevelNeverReached,
+                     NonterminationSuspected, RarePathError, ZeroAcceptance)
 from .jumps import (IntensityFn, JumpPath, MarkDistribution, compensator,
                     simulate_cpp_thinning, simulate_cpp_time_change)
 from .lattice import (BirthDeathKernel, ChainPath, FiniteChain, LatticeSpec,

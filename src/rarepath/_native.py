@@ -1,0 +1,104 @@
+"""Build and load the compiled passage lane steps of ``_lanes.c``.
+
+The source is compiled with the system C compiler (``cc``) on first use
+and cached in the package's ``__pycache__`` directory, under a name keyed
+by the sha256 of the source and the compiler flags; it is written under a
+temporary name and moved into place, so concurrent builds never expose a
+partial file.  Where that directory is not writable the library is
+built in a private temporary directory, loaded, and removed.  A build
+that fails raises :class:`KernelUnavailable`.  Calls go through
+:mod:`ctypes`, which releases the interpreter lock for their duration,
+so lane batches on worker threads run in parallel.
+"""
+
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
+import threading
+from pathlib import Path
+
+from .errors import KernelUnavailable
+
+SOURCE = Path(__file__).with_name("_lanes.c")
+# no -ffast-math or -march=native, which may reorder or fuse operations:
+# every step must round exactly as the pinned engine outputs record
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+_I64, _F64, _INT, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
+_SIGNATURES = {
+    # n, step, N, h, sq, L, track_occ, bridge, then 3 draw, 14 state and
+    # 2 record buffers
+    "is_step": [_I64, _I64, _F64, _F64, _F64, _F64, _INT, _INT] + [_PTR] * 19,
+    # n, step, N, h, sq, a_coef, L, track_occ, bridge, then 2 draw and 6
+    # state buffers
+    "rej_step": [_I64, _I64, _F64, _F64, _F64, _F64, _F64, _INT, _INT] + [_PTR] * 8,
+}
+
+_lock = threading.Lock()
+_lib = None
+
+
+def _compile(source, target):
+    """Compile ``source`` into the shared library ``target``."""
+    try:
+        proc = subprocess.run(["cc", *FLAGS, "-o", str(target), str(source), "-lm"],
+                              capture_output=True, text=True)
+    except OSError as exc:
+        raise KernelUnavailable(f"cannot run the C compiler: {exc}") from exc
+    if proc.returncode:
+        lines = proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"]
+        raise KernelUnavailable(f"cannot build {Path(source).name}: {lines[-1]}")
+
+
+def _open(path):
+    try:
+        return ctypes.CDLL(str(path))
+    except OSError as exc:
+        raise KernelUnavailable(f"cannot load {path}: {exc}") from exc
+
+
+def _load():
+    """The compiled library, built unless a cached copy exists."""
+    try:
+        text = SOURCE.read_bytes()
+    except OSError as exc:
+        raise KernelUnavailable(f"cannot read the kernel source: {exc}") from exc
+    key = hashlib.sha256(text + " ".join(FLAGS).encode()).hexdigest()[:16]
+    name = f"_lanes.{key}.so"
+    cache = SOURCE.parent / "__pycache__"
+    if (cache / name).is_file():
+        return _open(cache / name)
+    try:
+        cache.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+    except OSError:
+        # not writable: build privately, load, and remove the build (a
+        # loaded library outlives its file)
+        with tempfile.TemporaryDirectory(prefix="rarepath-") as private:
+            _compile(SOURCE, Path(private) / name)
+            return _open(Path(private) / name)
+    os.close(fd)
+    try:
+        _compile(SOURCE, tmp)
+        # readable by whoever can read the source, as bytecode is
+        os.chmod(tmp, SOURCE.stat().st_mode & 0o777)
+        os.replace(tmp, cache / name)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return _open(cache / name)
+
+
+def kernels():
+    """The compiled library, with ``is_step`` and ``rej_step`` typed."""
+    global _lib
+    with _lock:
+        if _lib is None:
+            lib = _load()
+            for name, argtypes in _SIGNATURES.items():
+                fn = getattr(lib, name)
+                fn.argtypes, fn.restype = argtypes, _I64
+            _lib = lib
+        return _lib

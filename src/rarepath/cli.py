@@ -13,7 +13,8 @@ keys are rejected.
 Exit codes: 0 success, 2 invalid configuration/arguments (a malformed
 spec or number list included) or an unusable path (a missing
 ``--config`` file, or an output directory that does not exist), 3
-runtime or model error (explosion guard, zero acceptances, horizon cap).
+runtime or model error (explosion guard, zero acceptances, horizon cap,
+a lane kernel that cannot be built).
 """
 
 import argparse

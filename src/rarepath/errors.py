@@ -50,3 +50,7 @@ class ZeroAcceptance(RarePathError):
 
 class HorizonExpiredError(RarePathError):
     code = "horizon-expired"
+
+
+class KernelUnavailable(RarePathError):
+    code = "kernel-unavailable"

@@ -192,6 +192,14 @@ class IntensityFn:
         return float(val)
 
 
+def _start_value(x0):
+    """The start value as a 1-d float array; it must be finite."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if not np.all(np.isfinite(x0)):
+        raise InvalidArgument(f"x0 must be finite, not {x0.tolist()}")
+    return x0
+
+
 def simulate_cpp_time_change(stream: RngStream, g_state: Callable,
                              mark_dist: MarkDistribution, x0, horizon: float,
                              max_jumps: int = MAX_JUMPS) -> JumpPath:
@@ -208,8 +216,9 @@ def simulate_cpp_time_change(stream: RngStream, g_state: Callable,
     """
     if not 0.0 < horizon < np.inf:
         raise InvalidArgument("horizon must be finite and positive")
+    x0 = _start_value(x0)
     gen = stream.generator()
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    x = x0.copy()
     times, marks = [], []
     clock = 0.0
     while True:
@@ -227,8 +236,7 @@ def simulate_cpp_time_change(stream: RngStream, g_state: Callable,
         if len(times) > max_jumps:
             raise ExplosionSuspected(f"more than {max_jumps} jumps before the horizon")
     marks_arr = np.array(marks) if marks else np.zeros((0, mark_dist.dim))
-    return JumpPath(np.atleast_1d(np.asarray(x0, dtype=float)),
-                    np.array(times), marks_arr, horizon=horizon)
+    return JumpPath(x0, np.array(times), marks_arr, horizon=horizon)
 
 
 def simulate_cpp_thinning(stream: RngStream, g: IntensityFn, g_bound: float,
@@ -246,8 +254,8 @@ def simulate_cpp_thinning(stream: RngStream, g: IntensityFn, g_bound: float,
         raise InvalidArgument("g_bound must be positive")
     if not 0.0 < horizon < np.inf:
         raise InvalidArgument("horizon must be finite and positive")
+    x0_arr = _start_value(x0)
     gen = stream.generator()
-    x0_arr = np.atleast_1d(np.asarray(x0, dtype=float))
     times, marks = [], []
     t = 0.0
     n_candidates = 0

@@ -17,6 +17,9 @@ functional or :func:`sample_reversed_bridge` has it record each lane's
 path and rebuild the reversed excursion afterwards.  A naive
 rejection sampler over Euler OU paths serves as the brute-force oracle,
 and a cost-scaling experiment contrasts the two as the level grows.
+Both engines draw in Python and advance each step in one compiled call
+(``_lanes.c``, built on first use by ``_native``), which runs without the
+interpreter lock.
 
 Both routes share the step size and the barrier-detection mode, so the
 residual discretization error largely cancels in comparisons.  The
@@ -37,8 +40,7 @@ import numpy as np
 from .densities import EstimatorReport, importance_estimate
 from .errors import HorizonExpiredError, InvalidArgument, ZeroAcceptance
 from .paths import (HORIZON_CAP, ContinuousPath, ReversedExcursion,
-                    bridge_touch_probability, crossing_fraction,
-                    ou_scale_ratio)
+                    crossing_fraction, ou_scale_ratio)
 from .rng import RngStream
 
 __all__ = [
@@ -219,13 +221,15 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
     :func:`_replay_excursions`).  Recording draws nothing and changes no
     other output.
 
-    Alive-lane state is kept compacted in lane order (``ids`` holds each
-    position's lane) and is compacted only on steps where some lane stops;
-    per-lane results are written by lane id.  Each lane's last crossing of
-    1 is kept as a record (cell, endpoints, grid or coin, occupation through
-    the cell) that later crossings overwrite and that is evaluated once,
-    after the loop.
+    Each step draws here and is advanced by the compiled ``is_step``,
+    which keeps the alive-lane state compacted in lane order (``ids``
+    holds each position's lane) and writes per-lane results by lane id.
+    Each lane's last crossing of 1 is kept as a record (cell, endpoints,
+    grid or coin, occupation through the cell) that later crossings
+    overwrite and that is evaluated once, after the loop.
     """
+    from . import _native  # on first use: start-up builds and loads nothing
+    is_step = _native.kernels().is_step
     N = float(level)
     sq = math.sqrt(h)
     track_occ = occ_level is not None
@@ -234,100 +238,41 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
 
     t0 = np.full(lanes, np.nan)
     logw = np.full(lanes, np.nan)
-    last_cell = np.full(lanes, -1)   # last crossing of 1 by lane; -1: none yet
+    last_cell = np.full(lanes, -1, dtype=np.int64)  # -1: no crossing of 1 yet
     last_a = np.full(lanes, np.nan)
     last_b = np.full(lanes, np.nan)
     last_grid = np.zeros(lanes, dtype=bool)
     last_occ = np.full(lanes, np.nan)
-    rec = [] if record else None
-    ids = np.arange(lanes)
+    ids = np.arange(lanes, dtype=np.int64)
     b = np.zeros((lanes, 3))
     x = np.full(lanes, N)
     xm1 = x - 1.0   # carried x - 1 and x^2 of the previous step
     x2 = x * x
     int_sq = np.zeros(lanes)
     occ = np.zeros(lanes)
+    # per step: the new value at each position, and the stopped positions
+    rec = [] if record else None
+    xn = np.empty(lanes) if record else None
+    stopped = np.empty(lanes, dtype=np.int64) if record else None
+    buffers = [_address(a) for a in (ids, b, x, xm1, x2, int_sq, occ, t0, logw,
+                                     last_cell, last_a, last_b, last_grid,
+                                     last_occ, xn, stopped)]
+    n = lanes
     steps_done = 0
     step = 0
-    while ids.size:
+    while n:
         step += 1
         if step > max_steps:
             raise HorizonExpiredError("lane exceeded the horizon cap")
-        n = ids.size
-        z = gen.standard_normal((n, 3))
-        if bridge:
-            u0 = gen.random(n)
-            u1 = gen.random(n)
-        z *= sq
-        b += z
-        xn = np.einsum("ij,ij->i", b, b)
-        np.sqrt(xn, out=xn)
-        np.subtract(N, xn, out=xn)
-        if record:
-            rec.append([xn, None])
+        z = _draws(gen.standard_normal((n, 3)), (n, 3))
+        u0 = _draws(gen.random(n), (n,)) if bridge else None
+        u1 = _draws(gen.random(n), (n,)) if bridge else None
         steps_done += n
-        xn2 = xn * xn
-        x2 += xn2
-        x2 *= 0.5 * h
-        int_sq += x2
-        if track_occ:
-            cell = _occ_cell(x, xn, L)
-            cell *= h
-            occ += cell
-
-        xnm1 = xn - 1.0
-        sign_chg = xm1 * xnm1 < 0.0
-        sign_chg |= xn == 1.0
-        if bridge:
-            # the coin only matters where the sign did not change
-            cross1 = sign_chg | (u1 < bridge_touch_probability(xm1, xnm1, h, u1))
-        else:
-            cross1 = sign_chg
-        if cross1.any():
-            c = np.flatnonzero(cross1)
-            lane = ids[c]
-            last_cell[lane] = step - 1
-            last_a[lane] = x[c]
-            last_b[lane] = xn[c]
-            last_grid[lane] = sign_chg[c]
-            if track_occ:
-                last_occ[lane] = occ[c]
-
-        hit = xn <= 0.0
-        if bridge:
-            hit |= u0 < bridge_touch_probability(x, xn, h, u0)
-        if not hit.any():
-            x, xm1, x2 = xn, xnm1, xn2
-            continue
-        s = np.flatnonzero(hit)
-        fp, fn = x[s], xn[s]
-        hg = fn <= 0.0
-        frac = crossing_fraction(fp, fn, 0.0, hg)
-        tr = (step - 1) * h + frac * h
-        lane = ids[s]
-        t0[lane] = tr
-        int_sq_hit = int_sq[s] + (-0.5 * h * (fp * fp + fn * fn) + 0.5 * (frac * h) * (fp * fp))
-        logw[lane] = 0.5 * (N * N + tr - int_sq_hit)
-        # guard: a lane stopping with no crossing of 1 seen can only have
-        # crossed it in its final cell, which runs to the snapped 0 on a
-        # coin stop
-        miss = last_cell[lane] < 0
-        if miss.any():
-            sel = lane[miss]
-            last_cell[sel] = step - 1
-            last_a[sel] = fp[miss]
-            last_b[sel] = np.where(hg[miss], fn[miss], 0.0)
-            last_grid[sel] = True
-            if track_occ:
-                last_occ[sel] = occ[s[miss]]
-
+        alive = is_step(n, step, N, h, sq, L, track_occ, bridge,
+                        _address(z), _address(u0), _address(u1), *buffers)
         if record:
-            rec[-1][1] = s
-        keep = ~hit
-        ids, b, int_sq = ids[keep], b.compress(keep, axis=0), int_sq[keep]
-        x, xm1, x2 = xn[keep], xnm1[keep], xn2[keep]
-        if track_occ:
-            occ = occ[keep]
+            rec.append([xn[:n].copy(), stopped[:n - alive].copy() if alive < n else None])
+        n = alive
 
     frac = crossing_fraction(last_a, last_b, 1.0, last_grid)
     xi = last_cell * h + frac * h
@@ -339,6 +284,19 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
         return (xi, t0, occ_at_xi, logw, steps_done,
                 _replay_excursions(rec, N, h, last_cell, xi))
     return xi, t0, occ_at_xi, logw, steps_done
+
+
+def _draws(a, shape):
+    """A step's draws as a contiguous float64 array of ``shape``."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.shape != shape:
+        raise InvalidArgument(f"draws of shape {a.shape}, expected {shape}")
+    return a
+
+
+def _address(a):
+    """Buffer address handed to the compiled steps; None for no buffer."""
+    return None if a is None else a.ctypes.data
 
 
 def _replay_excursions(rec, level, h, cell, xi):
@@ -376,8 +334,11 @@ def _replay_excursions(rec, level, h, cell, xi):
 def _rej_batch(gen, lanes, level, h, occ_level, detection, max_steps):
     """One batch of naive OU rejection attempts from 1 between 0 and level.
 
-    Alive-lane state is kept compacted as in :func:`_is_batch`.
+    Each step draws here and is advanced by the compiled ``rej_step``,
+    which keeps the alive-lane state compacted as in :func:`_is_batch`.
     """
+    from . import _native
+    rej_step = _native.kernels().rej_step
     N = float(level)
     sq = math.sqrt(h)
     a_coef = 1.0 - h
@@ -388,63 +349,22 @@ def _rej_batch(gen, lanes, level, h, occ_level, detection, max_steps):
     dur = np.full(lanes, np.nan)
     hit_up = np.zeros(lanes, dtype=bool)
     occ_out = np.zeros(lanes)
-    ids = np.arange(lanes)
+    ids = np.arange(lanes, dtype=np.int64)
     x = np.ones(lanes)
     occ = np.zeros(lanes)
+    buffers = [_address(a) for a in (ids, x, occ, dur, hit_up, occ_out)]
+    n = lanes
     steps_done = 0
     step = 0
-    while ids.size:
+    while n:
         step += 1
         if step > max_steps:
             raise HorizonExpiredError("lane exceeded the horizon cap")
-        n = ids.size
-        z = gen.standard_normal(n)
-        if bridge:
-            u = gen.random(n)
-        z *= sq
-        xn = a_coef * x
-        xn += z
+        z = _draws(gen.standard_normal(n), (n,))
+        u = _draws(gen.random(n), (n,)) if bridge else None
         steps_done += n
-        if bridge:
-            # alive lanes have 0 < x < level; where xn leaves that range a
-            # coin probability is 1, which keeps the grid verdict
-            p_dn = bridge_touch_probability(x, xn, h, u)
-            p_up = bridge_touch_probability(N - x, N - xn, h, u)
-            done = u < p_dn
-            p_up += p_dn
-            up = ~done
-            up &= u < p_up
-            up |= xn >= N
-            done |= up
-        else:
-            up = xn >= N
-            done = up | (xn <= 0.0)
-
-        if track_occ:
-            inc = _occ_cell(x, xn, L)
-            inc *= h
-        if not done.any():
-            if track_occ:
-                occ += inc
-            x = xn
-            continue
-        d = np.flatnonzero(done)
-        fp, fn = x[d], xn[d]
-        term = np.where(up[d], N, 0.0)   # the barrier each lane stopped at
-        frac = crossing_fraction(fp, fn, term, (fn >= N) | (fn <= 0.0))
-        lane = ids[d]
-        dur[lane] = (step - 1) * h + frac * h
-        hit_up[lane] = up[d]
-        if track_occ:
-            # replace the full-cell increment with the partial cell to
-            # the snapped terminal value
-            inc[d] = _occ_cell(fp, term, L) * frac * h
-            occ += inc
-            occ_out[lane] = occ[d]
-        keep = ~done
-        ids, x = ids[keep], xn[keep]
-        if track_occ:
-            occ = occ[keep]
+        n = rej_step(n, step, N, h, sq, a_coef, L, track_occ, bridge,
+                     _address(z), _address(u), *buffers)
     return hit_up, dur, occ_out, steps_done
 
 

@@ -207,6 +207,37 @@ def test_cli_does_not_load_scipy_integrate(case, tmp_path):
     assert out.stdout.splitlines()[-1] == "0 False"
 
 
+def test_cli_start_up_leaves_the_kernel_unbuilt():
+    # the compiled lane steps are built and loaded on first use: importing
+    # the CLI and building its parser must do neither
+    src = os.path.dirname(os.path.dirname(rarepath.__file__))
+    code = ("from rarepath import _native\n"
+            "def refuse():\n"
+            "    raise SystemExit('start-up built the kernel')\n"
+            "_native._load = refuse\n"
+            "import rarepath.cli\n"
+            "rarepath.cli.build_parser()\n"
+            "print(_native._lib is None)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "True"
+
+
+def test_kernel_build_failure_exits_3(monkeypatch, tmp_path, capsys):
+    from rarepath import _native
+    # a flag the compiler rejects; it also changes the cache key, so the
+    # library is compiled anew rather than taken from the cache
+    monkeypatch.setattr(_native, "FLAGS", _native.FLAGS + ("--no-such-flag",))
+    monkeypatch.setattr(_native, "_lib", None)
+    rc = _run(["ou-estimate", "--N", "2", "--replicas", "10", "--step", "0.01",
+               "--seed", "1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: code=kernel-unavailable msg=")
+    assert "--no-such-flag" in err[0]
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("case", ["config", "out", "dump", "outdir-env"])
 def test_unusable_path_exits_2(case, tmp_path, monkeypatch, capsys):
     missing = tmp_path / "missing"
@@ -284,9 +315,14 @@ def test_bad_step_or_workers_exits_2(case, tmp_path, capsys):
     ["cpp-simulate", "--mark", "gauss:0:nan"],
     ["cpp-simulate", "--horizon", "nan"],
     ["cpp-simulate", "--method", "thinning", "--bound", "32", "--horizon", "inf"],
+    ["cpp-simulate", "--x0", "nan"],
+    ["cpp-simulate", "--x0", "inf"],
+    ["cpp-simulate", "--x0=-inf"],
+    ["cpp-simulate", "--method", "thinning", "--bound", "32", "--x0", "nan"],
 ], ids=["mark-gauss-short", "mark-not-float", "intensity-affine-short",
         "intensity-not-float", "affine-on-2d-mark", "samples-0", "step-nan",
-        "step-inf", "cap-nan", "mark-sd-nan", "horizon-nan", "horizon-inf"])
+        "step-inf", "cap-nan", "mark-sd-nan", "horizon-nan", "horizon-inf",
+        "x0-nan", "x0-inf", "x0-minus-inf", "thinning-x0-nan"])
 def test_malformed_spec_or_value_exits_2(argv, tmp_path, capsys):
     rc = _run(argv + ["--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2

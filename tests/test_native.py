@@ -1,0 +1,29 @@
+import shutil
+import tempfile
+
+import numpy as np
+
+from rarepath import RngStream, _native
+from rarepath.passage import _P_IS, _is_batch
+from rarepath.paths import HORIZON_CAP
+
+
+def test_kernel_builds_privately_where_the_package_is_not_writable(monkeypatch, tmp_path):
+    pkg, scratch = tmp_path / "pkg", tmp_path / "tmp"
+    pkg.mkdir()
+    scratch.mkdir()
+    shutil.copy(_native.SOURCE, pkg / "_lanes.c")
+    (pkg / "__pycache__").write_text("a file where the cache directory would go")
+    monkeypatch.setattr(_native, "SOURCE", pkg / "_lanes.c")
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    h = 4e-3
+    args = (16, 2, h, 1.5, "bridge", int(HORIZON_CAP / h))
+    private = _is_batch(RngStream(1).generator(_P_IS, 0), *args)
+    assert _native._lib is not None
+    assert list(scratch.iterdir()) == []   # the private build is removed
+    monkeypatch.undo()
+    cached = _is_batch(RngStream(1).generator(_P_IS, 0), *args)
+    for a, b in zip(private, cached):
+        assert np.array_equal(a, b)
+

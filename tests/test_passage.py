@@ -361,3 +361,50 @@ def test_no_visit_guard_outputs_pinned(occ_level, record):
         assert len(out[-1]) == 4096
         out = out[:-1]
     assert _output_digest(out) == _GUARD_DIGESTS[occ_level]
+
+
+class _ScriptedDraws:
+    """Stands in for a generator: each call hands out the next scripted
+    array (normals) or fills the asked size with the next scripted value
+    (uniforms)."""
+
+    def __init__(self, normals, uniforms):
+        self._normals, self._uniforms = list(normals), list(uniforms)
+
+    def standard_normal(self, size):
+        return np.asarray(self._normals.pop(0), dtype=float).reshape(size)
+
+    def random(self, size):
+        return np.full(size, self._uniforms.pop(0))
+
+
+# The pinned digests never draw a zero uniform.  A coin u < exp(arg) with
+# u == 0.0 holds exactly while exp(arg) does not underflow: it stops the
+# lane for -745 < arg < -700 (below the clip that applies to nonzero
+# uniforms) and not for arg < -745.2.
+@pytest.mark.parametrize("engine", ["is", "rej"])
+@pytest.mark.parametrize("arg,stops", [(-720.0, True), (-760.0, False)],
+                         ids=["subnormal-p", "p-underflows"])
+def test_zero_uniform_coin(engine, arg, stops):
+    h = 1e-3
+    sq = math.sqrt(h)
+    if engine == "is":
+        # X' = 2 - |B| from 2, so the level-0 coin's arg is -2*2*xn/h; a
+        # second step, if the lane is still alive, runs far below 0
+        xn = arg * h / -4.0
+        gen = _ScriptedDraws([[[(2.0 - xn) / sq, 0.0, 0.0]], [[10.0 / sq, 0.0, 0.0]]],
+                             [0.0, 0.5, 0.5, 0.5])
+        _xi, t0, _occ, _logw, steps = _is_batch(gen, 1, 2, h, None, "bridge", 10)
+        stop_time = t0[0]
+    else:
+        # OU from 1, so the level-0 coin's arg is -2*xn/h; the upper coin's
+        # is below -3000
+        xn = arg * h / -2.0
+        gen = _ScriptedDraws([[(xn - (1.0 - h)) / sq], [-1.0 / sq]], [0.0, 0.5])
+        hit, dur, _occ, steps = _rej_batch(gen, 1, 2, h, None, "bridge", 10)
+        assert not hit[0]
+        stop_time = dur[0]
+    if stops:
+        assert steps == 1 and stop_time == 0.5 * h
+    else:
+        assert steps == 2 and h < stop_time <= 2 * h
