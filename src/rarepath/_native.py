@@ -4,11 +4,12 @@ The source is compiled with the system C compiler (``cc``) on first use
 and cached in the package's ``__pycache__`` directory, under a name keyed
 by the sha256 of the source and the compiler flags; it is written under a
 temporary name and moved into place, so concurrent builds never expose a
-partial file.  Where that directory is not writable the library is
-built in a private temporary directory, loaded, and removed.  A build
-that fails raises :class:`KernelUnavailable`.  Calls go through
-:mod:`ctypes`, which releases the interpreter lock for their duration,
-so lane batches on worker threads run in parallel.
+partial file, and builds of other keys left there are then removed.
+Where that directory is not writable the library is built in a private
+temporary directory, loaded, and removed.  A build that fails raises
+:class:`KernelUnavailable`.  Calls go through :mod:`ctypes`, which
+releases the interpreter lock for their duration, so lane batches on
+worker threads run in parallel.
 """
 
 import ctypes
@@ -88,6 +89,12 @@ def _load():
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in cache.glob("_lanes.*.so"):
+        if stale.name != name:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
     return _open(cache / name)
 
 

@@ -34,9 +34,9 @@ __all__ = [
 class DensityAccumulator:
     """State of a putative density process at time ``t``.
 
-    ``log_m`` always equals ``log_stochastic_part + log_compensator_part``
-    (the constructor enforces it to 1e-12), and a freshly started
-    accumulator has ``log_m == 0`` so the process starts at one.
+    ``log_m`` is the sum ``log_stochastic_part + log_compensator_part``,
+    and a freshly started accumulator has ``log_m == 0`` so the process
+    starts at one.
     """
 
     log_stochastic_part: float
@@ -50,10 +50,6 @@ class DensityAccumulator:
     @property
     def m(self) -> float:
         return math.exp(self.log_m)
-
-    def check(self, log_m: float, tol: float = 1e-12) -> None:
-        if abs(log_m - self.log_m) > tol:
-            raise InvalidArgument("component split does not add up to log_m")
 
 
 @dataclass(frozen=True)

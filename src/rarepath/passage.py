@@ -498,7 +498,7 @@ def oracle_rejection(query: OuQuery, workers: int = 1) -> EstimatorReport:
     """Brute-force oracle: Euler OU paths from 1, keeping those that
     reach the level before 0; plain sample mean over accepted paths.
 
-    ``query.replicas`` counts attempts.  Warns when the quadrature
+    ``query.replicas`` counts attempts.  Warns when the scale-function
     hitting probability predicts fewer than ``1e-4`` acceptances per
     attempt; raises if nothing is accepted.
     """
@@ -557,19 +557,23 @@ def scaling_report(levels, step: float, replicas: int, seed: int,
     across levels.
 
     Rejection cost per effective sample is ``mean attempt cost /
-    acceptance probability`` with the acceptance taken from quadrature
-    (measuring it by simulation is exactly what becomes infeasible for
-    large levels); attempt cost comes from a capped Monte Carlo run.
-    Log-log slopes, fitted over at least two distinct levels, are
-    reported descriptively, not asserted.
+    acceptance probability`` with the acceptance taken from the scale
+    function (measuring it by simulation is exactly what becomes
+    infeasible for large levels); attempt cost comes from a capped Monte
+    Carlo run.  Log-log slopes, fitted over at least two distinct levels,
+    are reported descriptively, not asserted.
     """
     # every level must make a valid query, and a slope needs two of them
     levels = [OuQuery(lv, PathFunctional.indicator(), replicas, step, seed,
                       detection).level for lv in levels]
     if len(set(levels)) < 2:
         raise InvalidArgument("the cost exponents need at least two distinct levels")
+    p_hits = [ou_scale_ratio(1.0, float(lv)) for lv in levels]
+    if 0.0 in p_hits:
+        raise InvalidArgument(f"the hitting probability of level {levels[p_hits.index(0.0)]} "
+                              "underflows float64, so its rejection cost is infinite")
     rows = []
-    for lv in levels:
+    for lv, p_hit in zip(levels, p_hits):
         xi, t0, occ, logw, steps = _run_is(seed, lv, step, replicas, None,
                                            detection, workers)
         rep = importance_estimate(payoffs=np.ones_like(logw), log_weights=logw)
@@ -581,7 +585,6 @@ def scaling_report(levels, step: float, replicas: int, seed: int,
         hit, dur, _occ, steps_rej = _run_rej(seed, lv, step, n_cost, None,
                                              detection, workers)
         attempt_cost = steps_rej * step / n_cost
-        p_hit = ou_scale_ratio(1.0, float(lv))
         rej_cost_eff = attempt_cost / p_hit
         rows.append(ScalingRow(
             level=int(lv), is_cost=is_cost, is_cost_per_effective=is_cost_eff,

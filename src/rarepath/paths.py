@@ -47,7 +47,7 @@ __all__ = [
     "HORIZON_CAP",
 ]
 
-#: Hard ceiling (time units) for horizon auto-extension of stopped simulations.
+#: Hard ceiling (time units) on the horizon of stopped simulations.
 HORIZON_CAP = 1.0e6
 
 _BLOCK = 4096  # draws per block in scalar path loops
@@ -206,7 +206,7 @@ def _ou_block(x, a, sq, z):
     return powers * x + powers * s
 
 
-def _stopped_path(gen, x0, step, lower, upper, horizon, detection, extend,
+def _stopped_path(gen, x0, step, lower, upper, horizon, detection,
                   block_len, advance):
     """Blocked stopping loop behind the scalar simulators.
 
@@ -216,8 +216,7 @@ def _stopped_path(gen, x0, step, lower, upper, horizon, detection, extend,
     ``upper``, or at the first coin; the path expires at the horizon as
     described in :func:`simulate_ou_stopped`.
     """
-    limit = HORIZON_CAP if extend else min(horizon, HORIZON_CAP)
-    max_steps = max(int(math.floor(limit / step)), 1)
+    max_steps = max(int(math.floor(min(horizon, HORIZON_CAP) / step)), 1)
     chunks = [np.array([x0])]
     x = x0
     k = 0
@@ -258,15 +257,14 @@ def _stopped_path(gen, x0, step, lower, upper, horizon, detection, extend,
 def simulate_ou_stopped(stream: RngStream, x0: float, step: float,
                         lower: float, upper: float,
                         horizon: float = math.inf,
-                        detection: str = "grid",
-                        extend: bool = True) -> StoppedSegment:
+                        detection: str = "grid") -> StoppedSegment:
     """Euler path of ``dX = -X dt + dB`` stopped at the first barrier.
 
     The path is killed at the first grid index with value <= ``lower`` or
-    >= ``upper`` (plus bridge coins when ``detection="bridge"``).  With
-    ``extend`` the simulation keeps growing past ``horizon`` up to
-    :data:`HORIZON_CAP` before flagging :attr:`Hit.EXPIRED`; otherwise it
-    expires at ``horizon``.
+    >= ``upper`` (plus bridge coins when ``detection="bridge"``).  A path
+    still alive at ``horizon``, or at :data:`HORIZON_CAP` if that comes
+    first (the default horizon runs to the cap), is flagged
+    :attr:`Hit.EXPIRED`.
     """
     if step <= 0.0:
         raise InvalidArgument("step must be positive")
@@ -289,21 +287,19 @@ def simulate_ou_stopped(stream: RngStream, x0: float, step: float,
         return _ou_block(x, a, sq, gen.standard_normal(m))
 
     return _stopped_path(gen, x0, step, lower, upper, horizon, detection,
-                         extend, min(_BLOCK, max(64, int(8.0 / step))), advance)
+                         min(_BLOCK, max(64, int(8.0 / step))), advance)
 
 
 def simulate_bessel3_complement(stream: RngStream, level: float, step: float,
                                 horizon: float = math.inf,
-                                detection: str = "grid",
-                                extend: bool = True) -> StoppedSegment:
+                                detection: str = "grid") -> StoppedSegment:
     """Path of ``t -> level - |B(t)|`` for 3-d Brownian ``B``, stopped at 0.
 
     The radial norm of three-dimensional Brownian motion from the origin
     is transient, so the stopped time is a.s. finite; the process starts
-    at ``level`` exactly.  With ``extend`` the simulation runs past
-    ``horizon`` up to :data:`HORIZON_CAP` (the recommended "infinite
-    horizon" semantics); otherwise expiry is flagged and the caller
-    decides.
+    at ``level`` exactly.  Expiry at ``horizon`` or :data:`HORIZON_CAP`
+    is flagged as in :func:`simulate_ou_stopped`; the default horizon
+    runs to the cap.
     """
     if level <= 0.0:
         raise InvalidArgument("level must be positive")
@@ -325,7 +321,7 @@ def simulate_bessel3_complement(stream: RngStream, level: float, step: float,
     # no upper barrier: its grid test never fires and its coin probability
     # (exp(-700) or 0) lies below every draw
     return _stopped_path(gen, level, step, 0.0, math.inf, horizon, detection,
-                         extend, _BLOCK, advance)
+                         _BLOCK, advance)
 
 
 # ---------------------------------------------------------------------------
@@ -392,22 +388,10 @@ def path_integral_square(path: ContinuousPath, stop_time: float) -> float:
     return total
 
 
-def _scale_log_quad(y: float) -> float:
-    """log of integral_0^y exp(u^2) du, computed overflow-free by quadrature."""
-    if y == 0.0:
-        return -math.inf
-    from scipy import integrate
-
-    # substitute v = y - u:  integral = exp(y^2) * int_0^y exp(-v(2y - v)) dv
-    g, _ = integrate.quad(lambda v: math.exp(-v * (2.0 * y - v)), 0.0, y,
-                          epsabs=1e-14, epsrel=1e-12, limit=200)
-    return y * y + math.log(g)
-
-
-# _scale_log_quad at y = 1, 2, ..., 27, the doubles it returns: the package
-# asks only for x = 1 and integer levels, and beyond 27 the hitting ratio
-# from 1 underflows.  Answering these from a table keeps scipy out of the
-# rejection oracle; tests pin every entry to the quadrature.
+# y*y + log(dawsn(y)) at y = 1, 2, ..., 27, the doubles it returns: the
+# package asks only for x = 1 and integer levels, and beyond 27 the hitting
+# ratio from 1 underflows.  Answering these from a table keeps scipy out of
+# the rejection oracle; tests pin every entry to the closed form.
 _SCALE_LOG_AT_INT = dict(enumerate((
     0.3802510526266498, 2.8004852070379194, 7.275549757142676,
     13.954751177161011, 22.718531126302235, 33.529501322777996,
@@ -422,25 +406,23 @@ _SCALE_LOG_AT_INT = dict(enumerate((
 
 
 def _scale_log(y: float) -> float:
-    """log of integral_0^y exp(u^2) du: tabled at integers 1..27, else quad."""
+    """log of integral_0^y exp(u^2) du for y > 0: y^2 + log dawsn(y)."""
     tabled = _SCALE_LOG_AT_INT.get(y)
-    return _scale_log_quad(y) if tabled is None else tabled
+    if tabled is not None:
+        return tabled
+    from scipy import special
+
+    return y * y + math.log(special.dawsn(y))
 
 
 def ou_scale_ratio(x: float, big_level: float) -> float:
     """Probability that the unit OU process from ``x`` reaches
     ``big_level`` before 0, via its scale function.
 
-    The scale function of ``dX = -X dt + dB`` has density ``exp(u^2)``;
-    the ratio is evaluated in log-space so that large levels do not
-    overflow.  Absolute error is below 1e-10.  For levels beyond 27 the
-    true ratio underflows float64 and 0.0 is returned; use
-    :func:`ou_scale_ratio_log` in that regime.
-
-    The scale function at ``1, 2, ..., 27`` comes from a table of the
-    quadrature's own doubles, so ``x = 1`` with an integer level (all the
-    package asks for) needs no scipy; any other argument, and so any
-    ``x != 1`` or level from 28 on, is integrated by ``scipy.integrate.quad``.
+    The exponential of :func:`ou_scale_ratio_log`, with 0.0 at ``x = 0``.
+    For levels beyond 27 (from ``x = 1``) the true ratio underflows
+    float64 and 0.0 is returned; use :func:`ou_scale_ratio_log` in that
+    regime.
     """
     if x < 0.0 or x > big_level:
         raise InvalidArgument("need 0 <= x <= big_level")
@@ -448,12 +430,19 @@ def ou_scale_ratio(x: float, big_level: float) -> float:
         return 1.0
     if x == 0.0:
         return 0.0
-    diff = _scale_log(x) - _scale_log(big_level)
+    diff = ou_scale_ratio_log(x, big_level)
     return math.exp(diff) if diff > -745.0 else 0.0
 
 
 def ou_scale_ratio_log(x: float, big_level: float) -> float:
-    """log of :func:`ou_scale_ratio`, finite for any level."""
+    """log of :func:`ou_scale_ratio`, finite for any level.
+
+    The scale function of ``dX = -X dt + dB`` has density ``exp(u^2)``
+    and, in closed form, log ``y^2 + log D(y)`` with ``D`` Dawson's
+    integral (``scipy.special.dawsn``), good to a few ulps at every level.
+    It is tabled at ``1, 2, ..., 27``, so ``x = 1`` with an integer level
+    (all the package asks for) needs no scipy.
+    """
     if x <= 0.0 or x > big_level:
         raise InvalidArgument("need 0 < x <= big_level")
     if x == big_level:

@@ -41,7 +41,7 @@ OCC_LEVEL = 1.5
 CAP = 50.0
 
 # s(1)/s(2) and s(1)/s(3) for the scale density exp(u^2), frozen from
-# quadrature (tests/test_paths.py re-derives them through the library's own
+# quadrature (tests/test_paths.py checks the library's closed form against
 # quadrature; the values below were computed independently with scipy.quad
 # before the build)
 P_HIT_2 = 0.0889007985079208

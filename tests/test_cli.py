@@ -189,10 +189,11 @@ _TINY_RUNS = {
 
 
 @pytest.mark.parametrize("case", sorted(_TINY_RUNS))
-def test_cli_does_not_load_scipy_integrate(case, tmp_path):
-    # quadrature is imported where it is used, and the scale function at the
-    # integer levels the oracle asks for is tabled, so start-up and these
-    # commands stay free of it; "import" only builds the parser
+def test_cli_loads_neither_scipy_integrate_nor_special(case, tmp_path):
+    # quadrature and Dawson's integral are imported where they are used, and
+    # the scale function at the integer levels the oracle asks for is
+    # tabled, so start-up and these commands stay free of both; "import"
+    # only builds the parser
     src = os.path.dirname(os.path.dirname(rarepath.__file__))
     argv = _TINY_RUNS[case]
     if argv:
@@ -200,11 +201,11 @@ def test_cli_does_not_load_scipy_integrate(case, tmp_path):
     code = ("import sys, rarepath.cli\n"
             "argv = sys.argv[1:]\n"
             "rc = rarepath.cli.main(argv) if argv else (rarepath.cli.build_parser(), 0)[1]\n"
-            "print(rc, 'scipy.integrate' in sys.modules)")
+            "print(rc, 'scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
                          check=True)
-    assert out.stdout.splitlines()[-1] == "0 False"
+    assert out.stdout.splitlines()[-1] == "0 False False"
 
 
 def test_cli_start_up_leaves_the_kernel_unbuilt():
@@ -270,6 +271,8 @@ _BAD_VALUES = {
     "scaling-step-negative": ["ou-scaling", "--levels", "2,3", "--step", "-1"],
     "scaling-step-nan": ["ou-scaling", "--levels", "2,3", "--step", "nan"],
     "scaling-replicas-0": ["ou-scaling", "--levels", "2,3", "--replicas", "0"],
+    "scaling-level-unreachable": ["ou-scaling", "--levels", "2,28", "--replicas", "5",
+                                  "--step", "0.05"],
     "measure-replicas-1": ["measure-check", "--replicas", "1"],
     "measure-replicas-0": ["measure-check", "--replicas", "0"],
     "measure-t-negative": ["measure-check", "--t", "-1"],

@@ -227,7 +227,6 @@ def test_cpp_density_nonpositive_rate_without_jumps(mode):
 @settings(max_examples=50, deadline=None)
 def test_accumulator_split_adds_up(a, b, t):
     acc = DensityAccumulator(log_stochastic_part=a, log_compensator_part=b, t=t)
-    acc.check(a + b)
     assert acc.log_m == a + b
 
 

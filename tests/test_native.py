@@ -27,3 +27,18 @@ def test_kernel_builds_privately_where_the_package_is_not_writable(monkeypatch, 
     for a, b in zip(private, cached):
         assert np.array_equal(a, b)
 
+
+def test_kernel_build_removes_stale_builds(monkeypatch, tmp_path):
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    shutil.copy(_native.SOURCE, tmp_path / "_lanes.c")
+    for name in ("_lanes.0123456789abcdef.so", "_lanes.fedcba9876543210.so",
+                 "paths.cpython-310.pyc"):
+        (cache / name).write_bytes(b"")
+    monkeypatch.setattr(_native, "SOURCE", tmp_path / "_lanes.c")
+    lib = _native._load()
+    assert hasattr(lib, "is_step")
+    built = [p.name for p in cache.glob("_lanes.*.so")]
+    assert len(built) == 1 and built[0] not in ("_lanes.0123456789abcdef.so",
+                                                "_lanes.fedcba9876543210.so")
+    assert (cache / "paths.cpython-310.pyc").exists()

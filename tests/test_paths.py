@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from rarepath import (ContinuousPath, Hit, InvalidArgument, LevelNeverReached,
                       RngStream, ou_scale_ratio, path_integral_square,
                       reversed_last_excursion, simulate_bessel3_complement,
                       simulate_brownian, simulate_ou_stopped)
-from rarepath.paths import (_SCALE_LOG_AT_INT, StoppedSegment, _scale_log_quad,
+from rarepath.paths import (_SCALE_LOG_AT_INT, StoppedSegment, _scale_log,
                             bridge_touch_probability, crossing_fraction,
                             ou_scale_ratio_log)
 
@@ -114,8 +115,7 @@ def test_bessel_second_moment():
 
 
 def test_bessel_expiry_flag_without_extension():
-    seg = simulate_bessel3_complement(RngStream(1), 5.0, 1e-3, horizon=0.01,
-                                      extend=False)
+    seg = simulate_bessel3_complement(RngStream(1), 5.0, 1e-3, horizon=0.01)
     assert seg.hit is Hit.EXPIRED
 
 
@@ -194,20 +194,47 @@ def test_scale_ratio_endpoints_and_value():
         ou_scale_ratio(2.5, 2.0)
 
 
-def test_scale_log_table_is_the_quadrature():
+def _scale_log_quad(y):
+    """Independent reference for the scale function's log: integral_0^y
+    exp(u^2) du by quadrature, overflow-free, good up to y = 100."""
+    from scipy import integrate
+
+    # substitute v = y - u:  integral = exp(y^2) * int_0^y exp(-v(2y - v)) dv
+    g, _ = integrate.quad(lambda v: math.exp(-v * (2.0 * y - v)), 0.0, y,
+                          epsabs=1e-14, epsrel=1e-12, limit=200)
+    return y * y + math.log(g)
+
+
+def test_scale_log_table_is_the_closed_form():
     assert sorted(_SCALE_LOG_AT_INT) == list(range(1, 28))
     for k, tabled in _SCALE_LOG_AT_INT.items():
-        assert tabled == _scale_log_quad(float(k)), k
+        assert tabled == k * k + math.log(special.dawsn(float(k))), k
+
+
+@pytest.mark.parametrize("y", [1e-3, 0.1, 0.5, 1.5, 7.3, 27.5, 28.0, 50.0, 100.0])
+def test_scale_log_off_table_matches_quadrature(y):
+    assert _scale_log(y) == pytest.approx(_scale_log_quad(y), rel=1e-12)
 
 
 @pytest.mark.parametrize("level", range(2, 31))
 def test_scale_ratio_at_integer_levels_matches_quadrature(level):
-    # 28..30 fall through the table to the quadrature itself
-    lo, hi = _scale_log_quad(1.0), _scale_log_quad(float(level))
-    assert ou_scale_ratio_log(1.0, float(level)) == lo - hi
-    assert ou_scale_ratio(1.0, float(level)) == (math.exp(lo - hi) if lo - hi > -745.0
+    # 28..30 fall through the table to the closed form
+    log_ratio = ou_scale_ratio_log(1.0, float(level))
+    assert log_ratio == pytest.approx(_scale_log_quad(1.0) - _scale_log_quad(float(level)),
+                                      rel=1e-12)
+    assert ou_scale_ratio(1.0, float(level)) == (math.exp(log_ratio) if log_ratio > -745.0
                                                  else 0.0)
     assert (ou_scale_ratio(1.0, float(level)) == 0.0) == (level >= 28)
+
+
+# log s(1) - log s(N) for the scale density exp(u^2), frozen from mpmath at
+# 40 digits; quadrature is off by tens of nats here, or fails outright
+@pytest.mark.parametrize("level,want", [(122, -14878.122614318023),
+                                        (150, -22493.915988696175),
+                                        (200, -39993.62829690066),
+                                        (1000, -999992.0188469879)])
+def test_scale_ratio_log_at_high_levels(level, want):
+    assert ou_scale_ratio_log(1.0, float(level)) == pytest.approx(want, rel=1e-13)
 
 
 @given(st.floats(min_value=1.2, max_value=20.0), st.floats(min_value=0.05, max_value=4.0))
@@ -373,22 +400,21 @@ _SIMULATOR_DIGESTS = {
         "169b2fed077b7d390f8f867ab245be25b2a2d7026119c76fa62e4c24f10dab43",
 }
 
-# edge cases: horizon expiry without extension (several blocks long) and
+# edge cases: expiry at a finite horizon (several blocks long) and
 # OU paths started on a barrier
 _SIMULATOR_EDGE_RUNS = {
     "ou-expire-grid": lambda k: simulate_ou_stopped(
-        RngStream(4, k), 0.5, 1e-3, -50.0, 50.0, horizon=10.0, extend=False),
+        RngStream(4, k), 0.5, 1e-3, -50.0, 50.0, horizon=10.0),
     "ou-expire-bridge": lambda k: simulate_ou_stopped(
         RngStream(4, k), 0.5, 1e-3, -50.0, 50.0, horizon=10.0,
-        detection="bridge", extend=False),
+        detection="bridge"),
     "ou-expire-short-bridge": lambda k: simulate_ou_stopped(
         RngStream(5, k), 1.0, 4e-3, 0.0, 2.0, horizon=0.05,
-        detection="bridge", extend=False),
+        detection="bridge"),
     "bessel-expire-grid": lambda k: simulate_bessel3_complement(
-        RngStream(4, k), 50.0, 1e-3, horizon=10.0, extend=False),
+        RngStream(4, k), 50.0, 1e-3, horizon=10.0),
     "bessel-expire-bridge": lambda k: simulate_bessel3_complement(
-        RngStream(4, k), 50.0, 1e-3, horizon=10.0, detection="bridge",
-        extend=False),
+        RngStream(4, k), 50.0, 1e-3, horizon=10.0, detection="bridge"),
     "ou-lower-start": lambda k: simulate_ou_stopped(
         RngStream(4, k), 0.0, 1e-3, 0.0, 2.0,
         detection=("grid", "bridge")[k % 2]),
