@@ -20,7 +20,7 @@ diagnostics  reweighted tail profiles, stopped tails, unit-mean checks
 cli          the ``rarepath`` command
 """
 
-from .densities import (DensityAccumulator, EstimatorReport, WeightedSample,
+from .densities import (DensityAccumulator, EstimatorReport,
                         continuous_exponential, counting_density,
                         cpp_intensity_density, importance_estimate)
 from .diagnostics import (FamilyDraw, MartingaleFamily, TightnessProfile,

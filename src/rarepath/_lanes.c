@@ -4,7 +4,9 @@
  * the results of the lanes that stop by lane id, and compacts the alive
  * state in place, in lane order.  It returns the number of lanes still
  * alive.  Nothing is allocated, so the caller may run it without the
- * interpreter lock.
+ * interpreter lock.  A lane's last visit of 1, and its occupation up to
+ * that visit, are evaluated where its crossing of 1 is recorded, so a
+ * lane's results are final when it stops.
  *
  * The arithmetic repeats the numpy operations the engines were first
  * written with, in the same order, so every output is bit-identical to
@@ -67,6 +69,23 @@ static inline double crossing_fraction(double a, double b, double barrier, int g
     return frac > 1.0 ? 1.0 : frac;
 }
 
+/* Record the lane's latest crossing of 1, in cell number `cell` from a to
+ * b (grid: placed by linear interpolation; otherwise by a coin, at
+ * mid-cell), with occupation oc through the whole cell: its last visit of
+ * 1 and, when tracked, the occupation up to that visit.  A later crossing
+ * overwrites the record. */
+static inline void record_visit(int64_t lane, int64_t cell, double a, double b,
+                                int grid, double oc, double h, double L,
+                                int track_occ, int64_t *last_cell, double *visit,
+                                double *visit_occ)
+{
+    double frac = crossing_fraction(a, b, 1.0, grid);
+    last_cell[lane] = cell;
+    visit[lane] = (double)cell * h + frac * h;
+    if (track_occ)
+        visit_occ[lane] = (oc - occ_cell(a, b, L) * h) + occ_cell(a, 1.0, L) * frac * h;
+}
+
 /* One step of the reversed-excursion engine: X' = N - |B| with B a 3-d
  * Brownian motion.  z holds the step's (n, 3) normals, u0 and u1 its
  * level-0 and level-1 coin uniforms (bridge detection only).  xn_rec,
@@ -75,11 +94,9 @@ static inline double crossing_fraction(double a, double b, double barrier, int g
 int64_t is_step(int64_t n, int64_t step, double N, double h, double sq,
                 double L, int track_occ, int bridge,
                 const double *z, const double *u0, const double *u1,
-                int64_t *ids, double *b, double *x, double *xm1, double *x2,
-                double *int_sq, double *occ,
-                double *t0, double *logw, int64_t *last_cell, double *last_a,
-                double *last_b, uint8_t *last_grid, double *last_occ,
-                double *xn_rec, int64_t *stopped)
+                int64_t *ids, double *b, double *x, double *int_sq, double *occ,
+                double *t0, double *logw, int64_t *last_cell, double *visit,
+                double *visit_occ, double *xn_rec, int64_t *stopped)
 {
     const double half_h = 0.5 * h;
     const double t_start = (double)(step - 1) * h;
@@ -93,23 +110,17 @@ int64_t is_step(int64_t n, int64_t step, double N, double h, double sq,
         double xn = N - sqrt((b0 * b0 + b2 * b2) + b1 * b1);
         if (xn_rec)
             xn_rec[i] = xn;
-        double xn2 = xn * xn;
-        double isq = int_sq[i] + (x2[i] + xn2) * half_h;
+        double isq = int_sq[i] + (xi * xi + xn * xn) * half_h;
         double oc = 0.0;
         if (track_occ)
             oc = occ[i] + occ_cell(xi, xn, L) * h;
 
-        double xnm1 = xn - 1.0;
-        int sign_chg = xm1[i] * xnm1 < 0.0 || xn == 1.0;
+        double xim1 = xi - 1.0, xnm1 = xn - 1.0;
+        int sign_chg = xim1 * xnm1 < 0.0 || xn == 1.0;
         int64_t lane = ids[i];
-        if (sign_chg || (bridge && coin(xm1[i], xnm1, h, skip, u1[i]))) {
-            last_cell[lane] = step - 1;
-            last_a[lane] = xi;
-            last_b[lane] = xn;
-            last_grid[lane] = (uint8_t)sign_chg;
-            if (track_occ)
-                last_occ[lane] = oc;
-        }
+        if (sign_chg || (bridge && coin(xim1, xnm1, h, skip, u1[i])))
+            record_visit(lane, step - 1, xi, xn, sign_chg, oc, h, L, track_occ,
+                         last_cell, visit, visit_occ);
 
         int hg = xn <= 0.0;
         if (hg || (bridge && coin(xi, xn, h, skip, u0[i]))) {
@@ -122,14 +133,9 @@ int64_t is_step(int64_t n, int64_t step, double N, double h, double sq,
             /* a lane stopping with no crossing of 1 seen can only have
              * crossed it in its final cell, which runs to the snapped 0 on
              * a coin stop */
-            if (last_cell[lane] < 0) {
-                last_cell[lane] = step - 1;
-                last_a[lane] = xi;
-                last_b[lane] = hg ? xn : 0.0;
-                last_grid[lane] = 1;
-                if (track_occ)
-                    last_occ[lane] = oc;
-            }
+            if (last_cell[lane] < 0)
+                record_visit(lane, step - 1, xi, hg ? xn : 0.0, 1, oc, h, L,
+                             track_occ, last_cell, visit, visit_occ);
             if (stopped)
                 stopped[n_stop] = i;
             n_stop++;
@@ -140,8 +146,6 @@ int64_t is_step(int64_t n, int64_t step, double N, double h, double sq,
         b[3 * k + 1] = b1;
         b[3 * k + 2] = b2;
         x[k] = xn;
-        xm1[k] = xnm1;
-        x2[k] = xn2;
         int_sq[k] = isq;
         if (track_occ)
             occ[k] = oc;

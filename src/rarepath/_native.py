@@ -29,9 +29,9 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _I64, _F64, _INT, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
 _SIGNATURES = {
-    # n, step, N, h, sq, L, track_occ, bridge, then 3 draw, 14 state and
+    # n, step, N, h, sq, L, track_occ, bridge, then 3 draw, 10 state and
     # 2 record buffers
-    "is_step": [_I64, _I64, _F64, _F64, _F64, _F64, _INT, _INT] + [_PTR] * 19,
+    "is_step": [_I64, _I64, _F64, _F64, _F64, _F64, _INT, _INT] + [_PTR] * 15,
     # n, step, N, h, sq, a_coef, L, track_occ, bridge, then 2 draw and 6
     # state buffers
     "rej_step": [_I64, _I64, _F64, _F64, _F64, _F64, _F64, _INT, _INT] + [_PTR] * 8,

@@ -305,18 +305,20 @@ def _cmd_chain_demo(args):
     p_ou = lattice.first_return_ruin(kern_ou, k_top)
     p_sym = lattice.first_return_ruin(kern_sym, k_top)
     identity_gap = abs(w_sum - p_ou / p_sym)
-    # conditioned sampler vs enumeration at demo scale
-    chain = lattice.birth_death_chain(kern_sym, k_top)
-    enum = lattice.enumerate_conditioned(chain, lambda s: s, k_top, 1, 0, 18)
-    paths = lattice.conv_sample_many(chain, lambda s: s, k_top, 1, 0,
-                                     RngStream(args.seed, 1), args.samples)
-    p_val = _chi_square_paths(enum, paths, args.samples)
     rows = [
         ["harmonic_residual", res],
         ["weighted_path_sum", w_sum],
         ["ruin_ratio", p_ou / p_sym],
         ["identity_gap", identity_gap],
-        ["sampler_chi2_p", p_val],
+    ]
+    # conditioned sampler vs enumeration, on walks small enough to enumerate
+    chain = lattice.birth_death_chain(kern_sym, k_top)
+    if chain.size <= lattice.MAX_ENUM_STATES:
+        enum = lattice.enumerate_conditioned(chain, lambda s: s, k_top, 1, 0, 18)
+        paths = lattice.conv_sample_many(chain, lambda s: s, k_top, 1, 0,
+                                         RngStream(args.seed, 1), args.samples)
+        rows.append(["sampler_chi2_p", _chi_square_paths(enum, paths, args.samples)])
+    rows += [
         ["samples", args.samples],
         ["lattice_n", args.lattice_n],
         ["level", level],
@@ -487,15 +489,12 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise InvalidArgument("--workers must be at least 1")
         return args.fn(args)
-    except InvalidArgument as exc:
+    except RarePathError as exc:
         sys.stderr.write(f"error: code={exc.code} msg={exc}\n")
-        return 2
+        return exc.exit_code
     except OSError as exc:
         sys.stderr.write(f"error: code=unusable-path msg={exc}\n")
         return 2
-    except RarePathError as exc:
-        sys.stderr.write(f"error: code={exc.code} msg={exc}\n")
-        return 3
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ compensator contributions separately and only ever exponentiates inside
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .paths import ContinuousPath
 
 __all__ = [
     "DensityAccumulator",
-    "WeightedSample",
     "EstimatorReport",
     "continuous_exponential",
     "counting_density",
@@ -50,17 +49,6 @@ class DensityAccumulator:
     @property
     def m(self) -> float:
         return math.exp(self.log_m)
-
-
-@dataclass(frozen=True)
-class WeightedSample:
-    payoff: float
-    log_weight: float
-    replica_id: int = 0
-
-    def __post_init__(self):
-        if not math.isfinite(self.log_weight):
-            raise InvalidArgument("log_weight must be finite")
 
 
 @dataclass(frozen=True)
@@ -212,31 +200,22 @@ def _positive_rates(f: Callable, *gs: IntensityFn) -> IntensityFn:
 # weighted-sample estimator
 
 
-def importance_estimate(samples=None, self_normalized: bool = True,
-                        payoffs: Optional[np.ndarray] = None,
-                        log_weights: Optional[np.ndarray] = None,
+def importance_estimate(payoffs: np.ndarray, log_weights: np.ndarray,
+                        self_normalized: bool = True,
                         extras: Optional[dict] = None) -> EstimatorReport:
-    """Estimate from (payoff, log-weight) pairs, in log-space throughout.
+    """Estimate from arrays of payoffs and their log weights, in log-space
+    throughout.
 
-    Accepts either a sequence of :class:`WeightedSample` or the two
-    arrays directly.  The self-normalized form returns
-    ``sum(w H)/sum(w)`` with a delta-method standard error; the
-    non-normalized form returns ``mean(w H)`` (the max-subtracted
-    exponentiation can overflow only if a single weight exceeds the
-    float range times the sample size).  A single sample reports an
-    infinite standard error.
+    The self-normalized form returns ``sum(w H)/sum(w)`` with a
+    delta-method standard error; the non-normalized form returns
+    ``mean(w H)`` (the max-subtracted exponentiation can overflow only if
+    a single weight exceeds the float range times the sample size).  A
+    single sample reports an infinite standard error.
     """
-    if samples is not None:
-        seq: Sequence[WeightedSample] = list(samples)
-        if not seq:
-            raise InvalidArgument("samples must be nonempty")
-        payoffs = np.array([s.payoff for s in seq], dtype=float)
-        log_weights = np.array([s.log_weight for s in seq], dtype=float)
-    else:
-        payoffs = np.asarray(payoffs, dtype=float)
-        log_weights = np.asarray(log_weights, dtype=float)
-        if payoffs.size == 0:
-            raise InvalidArgument("samples must be nonempty")
+    payoffs = np.asarray(payoffs, dtype=float)
+    log_weights = np.asarray(log_weights, dtype=float)
+    if payoffs.size == 0:
+        raise InvalidArgument("samples must be nonempty")
     if not np.all(np.isfinite(log_weights)):
         raise InvalidArgument("log weights must be finite")
 
@@ -250,15 +229,10 @@ def importance_estimate(samples=None, self_normalized: bool = True,
     if self_normalized:
         if np.all(payoffs == payoffs[0]):
             # the ratio estimator is exactly the constant, whatever the weights
-            estimate = float(payoffs[0])
-            return EstimatorReport(
-                estimate=estimate, stderr=0.0 if n > 1 else math.inf, ess=ess,
-                n_samples=n,
-                extras={"max_log_weight": m,
-                        "top1_weight_share": float(np.max(w) / sw),
-                        **(extras or {})})
-        estimate = mean_ratio
-        var = float(np.sum(wn * wn * (payoffs - mean_ratio) ** 2))
+            estimate, var = float(payoffs[0]), 0.0
+        else:
+            estimate = mean_ratio
+            var = float(np.sum(wn * wn * (payoffs - mean_ratio) ** 2))
         stderr = math.sqrt(var) if n > 1 else math.inf
     else:
         log_scale = m + math.log(sw / n)

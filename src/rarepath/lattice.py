@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 MAX_CHAIN_STEPS = 10 ** 9
+#: Most states :func:`enumerate_conditioned` will enumerate over.
+MAX_ENUM_STATES = 12
 _URAND_BLOCK = 1024
 
 
@@ -577,11 +579,11 @@ def enumerate_conditioned(chain: FiniteChain, v_fn: Callable, level: float,
     """Exhaustively enumerate forward paths from ``x`` that enter
     ``{V >= level}`` before visiting ``b``, up to ``max_len`` steps.
 
-    Guarded to at most 12 states and 24 steps; beyond that the
-    combinatorics defeat the purpose of an oracle.
+    Guarded to at most :data:`MAX_ENUM_STATES` states and 24 steps;
+    beyond that the combinatorics defeat the purpose of an oracle.
     """
-    if chain.size > 12:
-        raise InvalidArgument("enumeration limited to 12 states")
+    if chain.size > MAX_ENUM_STATES:
+        raise InvalidArgument(f"enumeration limited to {MAX_ENUM_STATES} states")
     if max_len > 24:
         raise InvalidArgument("enumeration limited to 24 steps")
     if x == b:

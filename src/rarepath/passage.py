@@ -10,8 +10,8 @@ with the explicit density
     ``exp((level^2 + T0' - int_0^{T0'} X'(s)^2 ds) / 2)``
 
 normalized by its sample mean.  One lane-parallel engine draws these
-excursions; each lane keeps a record of its last crossing of 1, from
-which the last-visit time is evaluated once, when the batch ends.
+excursions; each lane's last-visit time of 1 is evaluated where its
+crossing of 1 is recorded, and a later crossing overwrites it.
 Built-in functionals are accumulated while it runs, and a custom
 functional or :func:`sample_reversed_bridge` has it record each lane's
 path and rebuild the reversed excursion afterwards.  A naive
@@ -40,7 +40,7 @@ import numpy as np
 from .densities import EstimatorReport, importance_estimate
 from .errors import HorizonExpiredError, InvalidArgument, ZeroAcceptance
 from .paths import (HORIZON_CAP, ContinuousPath, ReversedExcursion,
-                    crossing_fraction, ou_scale_ratio)
+                    ou_scale_ratio)
 from .rng import RngStream
 
 __all__ = [
@@ -224,9 +224,9 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
     Each step draws here and is advanced by the compiled ``is_step``,
     which keeps the alive-lane state compacted in lane order (``ids``
     holds each position's lane) and writes per-lane results by lane id.
-    Each lane's last crossing of 1 is kept as a record (cell, endpoints,
-    grid or coin, occupation through the cell) that later crossings
-    overwrite and that is evaluated once, after the loop.
+    Each crossing of 1 it records overwrites the lane's cell, last-visit
+    time and occupation up to the visit, so the loop leaves every output
+    final; ``last_cell`` also serves the record replay.
     """
     from . import _native  # on first use: start-up builds and loads nothing
     is_step = _native.kernels().is_step
@@ -239,24 +239,19 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
     t0 = np.full(lanes, np.nan)
     logw = np.full(lanes, np.nan)
     last_cell = np.full(lanes, -1, dtype=np.int64)  # -1: no crossing of 1 yet
-    last_a = np.full(lanes, np.nan)
-    last_b = np.full(lanes, np.nan)
-    last_grid = np.zeros(lanes, dtype=bool)
-    last_occ = np.full(lanes, np.nan)
+    xi = np.full(lanes, np.nan)
+    occ_xi = np.full(lanes, np.nan)
     ids = np.arange(lanes, dtype=np.int64)
     b = np.zeros((lanes, 3))
     x = np.full(lanes, N)
-    xm1 = x - 1.0   # carried x - 1 and x^2 of the previous step
-    x2 = x * x
     int_sq = np.zeros(lanes)
     occ = np.zeros(lanes)
     # per step: the new value at each position, and the stopped positions
     rec = [] if record else None
     xn = np.empty(lanes) if record else None
     stopped = np.empty(lanes, dtype=np.int64) if record else None
-    buffers = [_address(a) for a in (ids, b, x, xm1, x2, int_sq, occ, t0, logw,
-                                     last_cell, last_a, last_b, last_grid,
-                                     last_occ, xn, stopped)]
+    buffers = [_address(a) for a in (ids, b, x, int_sq, occ, t0, logw,
+                                     last_cell, xi, occ_xi, xn, stopped)]
     n = lanes
     steps_done = 0
     step = 0
@@ -274,16 +269,10 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
             rec.append([xn[:n].copy(), stopped[:n - alive].copy() if alive < n else None])
         n = alive
 
-    frac = crossing_fraction(last_a, last_b, 1.0, last_grid)
-    xi = last_cell * h + frac * h
-    occ_at_xi = last_occ
-    if track_occ:
-        occ_at_xi = (last_occ - _occ_cell(last_a, last_b, L) * h
-                     + _occ_cell(last_a, np.ones_like(last_a), L) * frac * h)
     if record:
-        return (xi, t0, occ_at_xi, logw, steps_done,
+        return (xi, t0, occ_xi, logw, steps_done,
                 _replay_excursions(rec, N, h, last_cell, xi))
-    return xi, t0, occ_at_xi, logw, steps_done
+    return xi, t0, occ_xi, logw, steps_done
 
 
 def _draws(a, shape):

@@ -13,12 +13,14 @@ missed, which biases hitting probabilities by O(sqrt(step)).
 ``"bridge"`` additionally flips, per step, a coin with the Brownian-bridge
 probability ``exp(-2*d_before*d_after/step)`` that the barrier was touched
 inside the step, which reduces the detection bias to O(step).  Two
-primitives carry this rule for every simulator and lane engine in the
-package: :func:`bridge_touch_probability` gives the coin's probability and
-:func:`crossing_fraction` places the crossing inside its step, by linear
-interpolation for a grid stop and at mid-step for a coin stop.  A grid
-stop keeps its overshoot value; a coin stop snaps the final path value to
-the barrier.
+primitives carry this rule: :func:`bridge_touch_probability` gives the
+coin's probability and :func:`crossing_fraction` places the crossing
+inside its step, by linear interpolation for a grid stop and at mid-step
+for a coin stop.  They serve the scalar simulators,
+:func:`reversed_last_excursion` and the inverse-Bessel family; the
+passage engines take both rules only from their compiled step
+(``_lanes.c``), which states them bit for bit.  A grid stop keeps its
+overshoot value; a coin stop snaps the final path value to the barrier.
 """
 
 import enum
@@ -424,8 +426,9 @@ def ou_scale_ratio(x: float, big_level: float) -> float:
     float64 and 0.0 is returned; use :func:`ou_scale_ratio_log` in that
     regime.
     """
-    if x < 0.0 or x > big_level:
-        raise InvalidArgument("need 0 <= x <= big_level")
+    # chained, so that a NaN or an infinite level fails it too
+    if not 0.0 <= x <= big_level < math.inf:
+        raise InvalidArgument("need 0 <= x <= big_level < inf")
     if x == big_level:
         return 1.0
     if x == 0.0:
@@ -443,8 +446,8 @@ def ou_scale_ratio_log(x: float, big_level: float) -> float:
     It is tabled at ``1, 2, ..., 27``, so ``x = 1`` with an integer level
     (all the package asks for) needs no scipy.
     """
-    if x <= 0.0 or x > big_level:
-        raise InvalidArgument("need 0 < x <= big_level")
+    if not 0.0 < x <= big_level < math.inf:
+        raise InvalidArgument("need 0 < x <= big_level < inf")
     if x == big_level:
         return 0.0
     return _scale_log(x) - _scale_log(big_level)

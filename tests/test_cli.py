@@ -163,6 +163,18 @@ def test_chain_demo_identities(tmp_path):
     assert float(rows["sampler_chi2_p"]) > 0.01
 
 
+def test_chain_demo_past_enumeration_limit(tmp_path):
+    # 13 states: the identities still hold, and only the sampler row goes
+    out = tmp_path / "c.csv"
+    rc = _run(["chain-demo", "--lattice-n", "2", "--level", "3", "--seed", "1",
+               "--out", str(out)])
+    assert rc == 0
+    rows = dict(line.split(",", 1) for line in
+                _read(out).decode().strip().splitlines()[1:])
+    assert float(rows["identity_gap"]) < 1e-12
+    assert "sampler_chi2_p" not in rows
+
+
 def test_workers_do_not_change_scaling(tmp_path):
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"

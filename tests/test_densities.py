@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rarepath import (IntensityFn, InvalidArgument, InvalidIntensity, JumpPath,
-                      RngStream, WeightedSample, continuous_exponential,
+                      RngStream, continuous_exponential,
                       counting_density, cpp_intensity_density,
                       importance_estimate, simulate_brownian)
 from rarepath.densities import DensityAccumulator
@@ -246,10 +246,8 @@ def test_importance_dominant_weight_degenerates():
 
 
 def test_importance_hand_arithmetic():
-    samples = [WeightedSample(1.0, math.log(1.0), 0),
-               WeightedSample(2.0, math.log(1.0), 1),
-               WeightedSample(3.0, math.log(2.0), 2)]
-    rep = importance_estimate(samples)
+    rep = importance_estimate(payoffs=np.array([1.0, 2.0, 3.0]),
+                              log_weights=np.log([1.0, 1.0, 2.0]))
     assert rep.estimate == pytest.approx(9.0 / 4.0, abs=1e-12)
     assert rep.n_samples == 3
 
@@ -273,8 +271,6 @@ def test_importance_rejects_bad_input():
     with pytest.raises(InvalidArgument):
         importance_estimate(payoffs=np.array([1.0]),
                             log_weights=np.array([math.inf]))
-    with pytest.raises(InvalidArgument):
-        WeightedSample(1.0, math.nan)
 
 
 def test_importance_non_normalized_mode():

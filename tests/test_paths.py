@@ -194,6 +194,16 @@ def test_scale_ratio_endpoints_and_value():
         ou_scale_ratio(2.5, 2.0)
 
 
+@pytest.mark.parametrize("x,level", [(1.0, math.nan), (math.nan, 2.0), (0.0, math.nan),
+                                     (math.inf, math.inf), (1.0, math.inf)])
+def test_scale_ratio_rejects_non_finite_arguments(x, level):
+    # before the endpoint shortcuts, which would answer 1.0 or 0.0
+    with pytest.raises(InvalidArgument):
+        ou_scale_ratio(x, level)
+    with pytest.raises(InvalidArgument):
+        ou_scale_ratio_log(x, level)
+
+
 def _scale_log_quad(y):
     """Independent reference for the scale function's log: integral_0^y
     exp(u^2) du by quadrature, overflow-free, good up to y = 100."""
