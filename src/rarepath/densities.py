@@ -84,8 +84,8 @@ def continuous_exponential(w_path: ContinuousPath, mu: np.ndarray) -> DensityAcc
     dw = np.diff(w, axis=0)
     mu_left = mu[:-1]
     if w.ndim == 1:
-        stoch = float(np.dot(mu_left, dw))
-        quad = float(np.dot(mu_left, mu_left))
+        stoch = float(np.einsum("i,i->", mu_left, dw))
+        quad = float(np.einsum("i,i->", mu_left, mu_left))
     else:
         stoch = float(np.sum(mu_left * dw))
         quad = float(np.sum(mu_left * mu_left))
@@ -223,9 +223,9 @@ def importance_estimate(payoffs: np.ndarray, log_weights: np.ndarray,
     m = float(np.max(log_weights))
     w = np.exp(log_weights - m)
     sw = float(np.sum(w))
-    ess = sw * sw / float(np.dot(w, w))
+    ess = sw * sw / float(np.einsum("i,i->", w, w))
     wn = w / sw
-    mean_ratio = float(np.dot(wn, payoffs))
+    mean_ratio = float(np.einsum("i,i->", wn, payoffs))
     if self_normalized:
         if np.all(payoffs == payoffs[0]):
             # the ratio estimator is exactly the constant, whatever the weights

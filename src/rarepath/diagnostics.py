@@ -91,15 +91,12 @@ class Verdict:
 class TightnessProfile:
     """Reweighted tail estimates per (member, time, kappa) plus verdict.
 
-    ``entries[(n, t, kappa)] = (estimate, stderr)`` of the upper tail,
-    ``complements`` the matching lower part, and
-    ``means[(n, t)] = (mean of M_n(t), stderr)``, all from the same
-    samples, so ``tail + complement == mean`` holds to float accuracy.
+    ``entries[(n, t, kappa)] = (estimate, stderr)`` of the upper tail
+    ``E[M_n(t) 1{M_n(t) >= kappa}]``; the mean of ``M_n(t)`` on the same
+    samples is :func:`unity_check` with ``member="member"``.
     """
 
     entries: dict
-    complements: dict
-    means: dict
     verdict: Verdict
     floor_threshold: float
 
@@ -109,7 +106,8 @@ def _column_stats(family, replicas, seed, columns) -> dict:
     columns that ``columns(draw)`` yields from each stacked draw, one at a
     time so that only one is held.  Chunk ``b`` of time ``t_grid[ci]``
     runs on substream ``(ci << 20) | b``.  Each row is reduced on its own,
-    by ``.sum(axis=-1)`` and a stacked ``@``, exactly as a 1-d sum and dot."""
+    by ``.sum(axis=-1)`` and ``einsum`` (a fixed summation order that no
+    BLAS thread count changes).  Values must be finite and nonnegative."""
     if replicas < 1:
         raise InvalidArgument("replicas must be positive")
     if not family.n_grid or not family.t_grid:
@@ -124,9 +122,9 @@ def _column_stats(family, replicas, seed, columns) -> dict:
             draw = family.simulate_multi(RngStream(seed, (ci << 20) | batch), t, size)
             if np.shape(draw.values) != (len(family.n_grid), size):
                 raise InvalidArgument("family values must be (members, size)")
-            if np.any(draw.values < 0.0):
-                raise InvalidArgument("family produced negative values")
-            sums = sums + np.array([(c.sum(axis=-1), (c[:, None] @ c[..., None])[:, 0, 0])
+            if not np.all((draw.values >= 0.0) & (draw.values < math.inf)):
+                raise InvalidArgument("family values must be finite and nonnegative")
+            sums = sums + np.array([(c.sum(axis=-1), np.einsum("ij,ij->i", c, c))
                                     for c in map(np.ascontiguousarray, columns(draw))])
         mean = sums[:, 0] / replicas
         se = np.sqrt(np.maximum(sums[:, 1] / replicas - mean * mean, 0.0) / replicas)
@@ -155,16 +153,11 @@ def q_tail_profile(family: MartingaleFamily, kappa_grid, replicas: int,
 
     def tails(draw):
         v = draw.values
-        yield v
-        yield from (v * (v >= k) for k in kappas)
-        yield from (v * (v < k) for k in kappas)
+        return (v * (v >= k) for k in kappas)
 
-    entries, complements, means = {}, {}, {}
-    for (n, t), cols in _column_stats(family, replicas, seed, tails).items():
-        means[(n, t)] = cols[0]
-        for k, tail, comp in zip(kappas, cols[1:], cols[1 + len(kappas):]):
-            entries[(n, t, k)] = tail
-            complements[(n, t, k)] = comp
+    entries = {(n, t, k): cell
+               for (n, t), cols in _column_stats(family, replicas, seed, tails).items()
+               for k, cell in zip(kappas, cols)}
 
     def cells(k):
         return [entries[(n, t, k)] for n in family.n_grid if n >= k
@@ -180,8 +173,7 @@ def q_tail_profile(family: MartingaleFamily, kappa_grid, replicas: int,
                           floor=min(est for est, _ in cells(k_top)))
     else:
         verdict = Verdict("inconclusive")
-    return TightnessProfile(entries=entries, complements=complements,
-                            means=means, verdict=verdict,
+    return TightnessProfile(entries=entries, verdict=verdict,
                             floor_threshold=floor_threshold)
 
 

@@ -159,13 +159,15 @@ class FiniteChain:
 # kernels
 
 
-def tilt(spec: LatticeSpec, k: int) -> float:
+def tilt(spec: LatticeSpec, k):
     """Down-drift ``delta * (value ^ n)`` of the mean-reverting chain at
     state ``k`` (``^`` the minimum; the cap keeps the tilt below
-    ``n * 2**-n < 1``)."""
-    if k < 0:
+    ``n * 2**-n < 1``): a float for one state, an array for an array."""
+    k = np.asarray(k)
+    if np.any(k < 0):
         raise InvalidArgument("negative lattice state")
-    return spec.delta * min(k * spec.delta, float(spec.n))
+    q = spec.delta * np.minimum(k * spec.delta, float(spec.n))
+    return q if q.ndim else float(q)
 
 
 def ou_chain_kernel(spec: LatticeSpec) -> BirthDeathKernel:
@@ -273,7 +275,7 @@ def discrete_weight(path: ChainPath, spec: LatticeSpec,
     direction = np.diff(ks)
     if np.any(np.abs(direction) != 1):
         raise InvalidArgument("consecutive states must differ by one lattice unit")
-    tilts = spec.delta * np.minimum(pre * spec.delta, float(spec.n))
+    tilts = tilt(spec, pre)
     duration = len(pre) * spec.time_step
     half_q2 = 0.5 * float(np.sum(tilts * tilts))
     if form == "product":

@@ -170,7 +170,7 @@ def crossing_fraction(a, b, barrier, grid):
     does not (a sign test ``(a - barrier)*(b - barrier) <= 0`` that
     underflows to 0 lets one through) still gets a crossing inside it.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         frac = np.clip(np.subtract(barrier, a) / np.subtract(b, a), 0.0, 1.0)
     return np.where(grid, np.where(b == barrier, 1.0, frac), 0.5)
 

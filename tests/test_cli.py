@@ -220,6 +220,32 @@ def test_cli_loads_neither_scipy_integrate_nor_special(case, tmp_path):
     assert out.stdout.splitlines()[-1] == "0 False False"
 
 
+_BLAS_THREAD_RUNS = {
+    "ou-estimate": ["ou-estimate", "--N", "2", "--replicas", "20000", "--step",
+                    "0.004", "--seed", "3"],
+    "tightness": ["tightness", "--family", "bounded-drift", "--replicas", "25000",
+                  "--step", "0.0625", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLAS_THREAD_RUNS))
+def test_reports_do_not_depend_on_openblas_threads(case, tmp_path):
+    # OpenBLAS fixes its thread count when numpy loads, so each count runs
+    # in a fresh interpreter; both runs write "r.csv" in their own
+    # directory, so their stdout can be compared byte for byte
+    src = os.path.dirname(os.path.dirname(rarepath.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        run = subprocess.run(
+            [sys.executable, "-m", "rarepath.cli", *_BLAS_THREAD_RUNS[case],
+             "--out", "r.csv"], capture_output=True, cwd=cwd, timeout=300, check=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+        outputs.append((run.stdout, _read(cwd / "r.csv")))
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_start_up_leaves_the_kernel_unbuilt():
     # the compiled lane steps are built and loaded on first use: importing
     # the CLI and building its parser must do neither

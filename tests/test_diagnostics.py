@@ -111,16 +111,13 @@ def test_inverse_bessel_profile_violated_and_stopped_floor():
         assert est - 3.0 * se > 0.05  # the floor does not vanish in n
 
 
-def test_profile_tail_plus_complement_is_mean():
-    fam = inverse_bessel_family(step=1.0 / 128, n_grid=(4, 8), t_grid=(0.5,))
-    prof = q_tail_profile(fam, [2.0, 4.0], replicas=20000, seed=26)
+def test_profile_tail_at_tiny_kappa_is_the_member_mean():
+    # every value exceeds 1e-300, so that tail column is M_n(t) itself and
+    # must reduce to the very bits of the unit-mean statistic
+    fam = inverse_bessel_family(step=1.0 / 128, n_grid=(4, 8), t_grid=(0.5, 1.0))
+    prof = q_tail_profile(fam, [1e-300], replicas=20000, seed=26)
     means = unity_check(fam, replicas=20000, seed=26, member="member")
-    for n in (4, 8):
-        mean = means[(n, 0.5)][0]
-        assert prof.means[(n, 0.5)][0] == pytest.approx(mean, abs=1e-12)
-        tail = prof.entries[(n, 0.5, 2.0)][0]
-        comp = prof.complements[(n, 0.5, 2.0)][0]
-        assert tail + comp == pytest.approx(mean, abs=1e-12)
+    assert {(n, t): prof.entries[(n, t, 1e-300)] for n, t in means} == means
 
 
 def test_profile_monotone_in_kappa():
@@ -157,6 +154,29 @@ def test_profile_input_validation():
         stopped_tail(one_row, replicas=10, seed=1)
 
 
+def _filled_family(value):
+    return dataclasses.replace(constant_family(), simulate_multi=lambda stream, t, size:
+                               FamilyDraw(values=np.full((3, size), value),
+                                          stopped=np.ones((3, size), dtype=bool)))
+
+
+@pytest.mark.parametrize("make", [
+    # a nan drift survives the clamp and makes every member value nan
+    lambda: clamped_drift_family(lambda t, w, ws: np.full((len(w), 1), np.nan),
+                                 step=0.25, n_grid=(1, 2)),
+    lambda: _filled_family(math.inf),
+    lambda: _filled_family(-1.0),
+], ids=["nan-drift", "inf", "negative"])
+@pytest.mark.parametrize("statistic", [
+    lambda fam: q_tail_profile(fam, [2.0], replicas=100, seed=1),
+    lambda fam: stopped_tail(fam, replicas=100, seed=1),
+    lambda fam: unity_check(fam, replicas=100, seed=1),
+], ids=["q_tail_profile", "stopped_tail", "unity_check"])
+def test_statistics_reject_non_finite_or_negative_values(statistic, make):
+    with pytest.raises(InvalidArgument):
+        statistic(make())
+
+
 @pytest.mark.parametrize("statistic", [
     lambda fam: q_tail_profile(fam, [2.0], replicas=10, seed=1),
     lambda fam: stopped_tail(fam, replicas=10, seed=1),
@@ -181,13 +201,10 @@ def test_family_step_must_be_finite_and_positive(make):
             make(step)
 
 
-# sha256 pins of every tightness statistic: profile entries, complements,
-# means and verdict, the stopped tails, and unity_check in both the
-# "auto" and the "member" mode, each as the repr of its (key, value)
-# pairs, so every float is pinned to the bit.  The "chunks" case spans
-# two _CHUNKs at two times.  Second moments are BLAS dot products, which
-# OpenBLAS splits across its threads for long rows: the 65 536-long rows of
-# "chunks" were pinned with 2 threads and differ in the last bit with 1.
+# sha256 pins of every tightness statistic: profile entries and verdict,
+# the stopped tails, and unity_check in both the "auto" and the "member"
+# mode, each as the repr of its (key, value) pairs, so every float is
+# pinned to the bit.  The "chunks" case spans two _CHUNKs at two times.
 _TIGHTNESS_CASES = {
     "inverse-bessel": (lambda: inverse_bessel_family(
         step=1.0 / 64, n_grid=(4, 8), t_grid=(0.5, 1.0)), 3000, 31),
@@ -206,15 +223,15 @@ _TIGHTNESS_CASES = {
 
 _TIGHTNESS_DIGESTS = {
     "inverse-bessel":
-        "0c6e5b0d5609ccdfeb3e25a96c79cf18f639e8ec551c1a704e1a6694448d4d9f",
+        "35c540330e4492107b3aa7fa4ffb92fa9075575bb01d4f07686adc88778c75aa",
     "clamped-1d":
-        "a873c011cdd75fb47ea775b2076c8202afa52517c179f14cb76de1e8623faa80",
+        "e5c69cc5d4991d68cd28c26c4529260ad744dc1af4eeb64a357d77b91faa87ed",
     "clamped-2d":
-        "6b3f89b0ef9004945756907d39081e5166b021459d390fd67bafd9dda67bfa58",
+        "7ddc74bda1dc6938b4b4d4712c2d50dcf11eadbf4f9d364643b420cc798feca8",
     "constant":
-        "0cd7612d70d994ada0aa243759db871e64b41ce5c0eb17de280ad9d31f616bc2",
+        "df45e4888789a40b24b5ccd0121f764c05afdd1bce1a9b638285bb98d8f330a0",
     "chunks":
-        "4b13b2446622e29a74bcaab91cbfd2b8e2ef87678a6a1f93d275903b8b455dd2",
+        "88ea34e8c5cabc440b487eb739d68099c3fba86363967679b44ec7f0a88cb526",
 }
 
 
@@ -223,8 +240,7 @@ def test_tightness_statistics_pinned(case):
     make, replicas, seed = _TIGHTNESS_CASES[case]
     fam = make()
     prof = q_tail_profile(fam, [2.0, 4.0, 8.0], replicas=replicas, seed=seed)
-    payload = (list(prof.entries.items()), list(prof.complements.items()),
-               list(prof.means.items()), str(prof.verdict),
+    payload = (list(prof.entries.items()), str(prof.verdict),
                list(stopped_tail(fam, replicas=replicas, seed=seed).items()),
                list(unity_check(fam, replicas=replicas, seed=seed).items()),
                list(unity_check(fam, replicas=replicas, seed=seed,

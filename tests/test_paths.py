@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -353,6 +354,14 @@ def test_crossing_fraction_range_and_special_values(a, b, barrier):
     assert _fraction(a, barrier, barrier) == 1.0
     if (a - barrier) * (b - barrier) <= 0.0 and a != b:
         assert 0.0 <= _fraction(a, b, barrier) <= 1.0
+
+
+def test_crossing_fraction_subnormal_step_is_silent():
+    # (1 - 0)/5e-324 overflows to inf before the clip returns 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert crossing_fraction(np.array([0.0]), np.array([5e-324]), 1.0,
+                                 np.array([True]))[0] == 1.0
 
 
 # sha256 pins of the scalar simulators' output: every value's bytes, the
