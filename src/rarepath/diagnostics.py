@@ -101,6 +101,16 @@ class TightnessProfile:
     floor_threshold: float
 
 
+def _check(a, shape, name, upper=math.inf):
+    """Raise unless the draw field ``a`` has ``shape`` and every entry is
+    finite and in ``[0, upper]``."""
+    if np.shape(a) != shape:
+        raise InvalidArgument(f"family {name} must have shape {shape}")
+    if not np.all((a >= 0.0) & (a <= upper) & (a < math.inf)):
+        bounds = "nonnegative" if upper == math.inf else f"in [0, {upper:g}]"
+        raise InvalidArgument(f"family {name} must be finite and {bounds}")
+
+
 def _column_stats(family, replicas, seed, columns) -> dict:
     """``{(n, t): [(mean, stderr) per column]}`` of the ``(members, size)``
     columns that ``columns(draw)`` yields from each stacked draw, one at a
@@ -120,10 +130,7 @@ def _column_stats(family, replicas, seed, columns) -> dict:
         for batch, done in enumerate(range(0, replicas, _CHUNK)):
             size = min(_CHUNK, replicas - done)
             draw = family.simulate_multi(RngStream(seed, (ci << 20) | batch), t, size)
-            if np.shape(draw.values) != (len(family.n_grid), size):
-                raise InvalidArgument("family values must be (members, size)")
-            if not np.all((draw.values >= 0.0) & (draw.values < math.inf)):
-                raise InvalidArgument("family values must be finite and nonnegative")
+            _check(draw.values, (len(family.n_grid), size), "values")
             sums = sums + np.array([(c.sum(axis=-1), np.einsum("ij,ij->i", c, c))
                                     for c in map(np.ascontiguousarray, columns(draw))])
         mean = sums[:, 0] / replicas
@@ -183,6 +190,7 @@ def stopped_tail(family: MartingaleFamily, replicas: int, seed: int) -> dict:
     def stopped(draw):
         if draw.stopped is None:
             raise InvalidArgument("family does not expose stopping indicators")
+        _check(draw.stopped, draw.values.shape, "stopped", 1.0)
         return [draw.values * draw.stopped]
 
     return {key: cols[0] for key, cols in
@@ -206,6 +214,7 @@ def unity_check(family: MartingaleFamily, replicas: int, seed: int,
             return [draw.values]
         if draw.limit_values is None:
             raise InvalidArgument("family does not expose a limit process")
+        _check(draw.limit_values, draw.values.shape[1:], "limit_values")
         return [np.broadcast_to(draw.limit_values, draw.values.shape)]
 
     return {key: cols[0] for key, cols in

@@ -57,6 +57,7 @@ __all__ = [
     "ScalingReport",
 ]
 
+# the most lanes one batch holds; see _batch_sizes for the split
 LANES_PER_BATCH = 65536
 
 # substream purposes, so different drivers never share draws at one seed
@@ -357,15 +358,22 @@ def _rej_batch(gen, lanes, level, h, occ_level, detection, max_steps):
     return hit_up, dur, occ_out, steps_done
 
 
+def _batch_sizes(total):
+    """One batch up to ``LANES_PER_BATCH`` lanes, else the fewest even
+    number of batches of at most that many, sizes differing by at most one
+    lane with the larger first, so that two workers get equal shares."""
+    count = 1 if total <= LANES_PER_BATCH else 2 * -(-total // (2 * LANES_PER_BATCH))
+    return [total // count + (i < total % count) for i in range(count)]
+
+
 def _run_batched(batch, purpose, seed, total, level, h, occ_level, detection,
                  workers, *extra):
-    """Run ``batch`` over fixed-size batches, batch ``i`` drawing from
-    substream ``(seed, purpose, i)``, and merge the outputs in batch order
-    (arrays and lists joined, counts summed); the split is independent of
-    the worker count."""
+    """Run ``batch`` over the batches of :func:`_batch_sizes`, batch ``i``
+    drawing from substream ``(seed, purpose, i)``, and merge the outputs in
+    batch order (arrays and lists joined, counts summed); the split depends
+    only on ``total``, never on the worker count."""
     max_steps = int(HORIZON_CAP / h)
-    sizes = [min(LANES_PER_BATCH, total - first)
-             for first in range(0, total, LANES_PER_BATCH)]
+    sizes = _batch_sizes(total)
 
     def one(i, m):
         return batch(RngStream(seed).generator(purpose, i), m, level, h,

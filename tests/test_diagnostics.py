@@ -177,6 +177,30 @@ def test_statistics_reject_non_finite_or_negative_values(statistic, make):
         statistic(make())
 
 
+def _with_draw_fields(**fields):
+    fam = constant_family()
+
+    def simulate_multi(stream, t, size):
+        return dataclasses.replace(fam.simulate_multi(stream, t, size),
+                                   **{k: make(size) for k, make in fields.items()})
+
+    return dataclasses.replace(fam, simulate_multi=simulate_multi)
+
+
+@pytest.mark.parametrize("statistic, fields", [
+    (stopped_tail, {"stopped": lambda size: np.full((3, size), np.nan)}),
+    (stopped_tail, {"stopped": lambda size: np.full((3, size), 2.0)}),
+    (stopped_tail, {"stopped": lambda size: np.ones((2, size))}),
+    (unity_check, {"limit_values": lambda size: np.full(size, np.nan)}),
+    (unity_check, {"limit_values": lambda size: np.full(size, -1.0)}),
+    (unity_check, {"limit_values": lambda size: np.ones((3, size))}),
+], ids=["stopped-nan", "stopped-above-one", "stopped-shape",
+        "limit-nan", "limit-negative", "limit-shape"])
+def test_statistics_reject_bad_stopped_or_limit_fields(statistic, fields):
+    with pytest.raises(InvalidArgument):
+        statistic(_with_draw_fields(**fields), replicas=100, seed=1)
+
+
 @pytest.mark.parametrize("statistic", [
     lambda fam: q_tail_profile(fam, [2.0], replicas=10, seed=1),
     lambda fam: stopped_tail(fam, replicas=10, seed=1),

@@ -154,6 +154,44 @@ def test_custom_functional_reproduces_builtin(monkeypatch, workers):
     assert custom.extras["total_time_units"] == builtin.extras["total_time_units"]
 
 
+@pytest.mark.parametrize("total,count", [
+    (1, 1), (7, 1), (65536, 1), (65537, 2), (98304, 2), (150000, 4),
+    (200000, 4), (1000000, 16)])
+def test_batch_sizes(total, count):
+    # the count, the sum and the ordering fix the sizes: 98304 -> 2 x 49152
+    sizes = passage._batch_sizes(total)
+    assert len(sizes) == count
+    assert sum(sizes) == total
+    assert sizes == sorted(sizes, reverse=True)
+    assert sizes[0] - sizes[-1] <= 1
+    assert sizes[0] <= passage.LANES_PER_BATCH
+
+
+def _report_fields(rep):
+    return rep.estimate, rep.stderr, rep.ess, rep.n_samples, rep.extras
+
+
+def test_worker_count_invariance_over_many_batches(monkeypatch):
+    # 64-lane batches: 300 lanes run as 6 batches of 50, 500 as 8 of 62-63,
+    # so every worker count above one really starts threads
+    monkeypatch.setattr(passage, "LANES_PER_BATCH", 64)
+    q = OuQuery(level=2, functional=PathFunctional.occupation_above(1.5, 50.0),
+                replicas=300, step=4e-3, seed=19)
+    oq = OuQuery(level=2, functional=PathFunctional.capped_duration(50.0),
+                 replicas=500, step=4e-3, seed=19)
+    runs = {w: (_run_is(19, 2, 4e-3, 300, 1.5, "bridge", w),
+                _run_rej(19, 2, 4e-3, 500, 1.5, "bridge", w),
+                _report_fields(estimate_conditional(q, workers=w)),
+                _report_fields(oracle_rejection(oq, workers=w)))
+            for w in (1, 2, 3)}
+    for w in (2, 3):
+        for got, want in zip(runs[w][:2], runs[1][:2]):
+            assert len(got) == len(want)
+            for g, e in zip(got, want):
+                np.testing.assert_array_equal(g, e)
+        assert runs[w][2:] == runs[1][2:]
+
+
 @pytest.mark.parametrize("detection", ["grid", "bridge"])
 def test_recorded_excursions_match_streamed_payoffs(detection):
     h, level = 4e-3, 3
