@@ -9,7 +9,7 @@ diagnostics probe whether a candidate density family keeps unit mass
 
 Modules
 -------
-rng          reproducible counter-based random streams
+rng          reproducible counter-based random streams, the batch driver
 paths        Brownian / OU / radial-complement paths and post-processing
 jumps        compound Poisson simulation (time change, thinning), compensators
 densities    log-space density accumulators and the weighted estimator

@@ -271,7 +271,8 @@ def _cmd_tightness(args):
         "t_grid": tuple(_parse_list(args.t, float))})
     profile = diagnostics.q_tail_profile(family, _parse_list(args.kappas, float),
                                          args.replicas, args.seed,
-                                         floor_threshold=args.floor_threshold)
+                                         floor_threshold=args.floor_threshold,
+                                         workers=args.workers)
     rows = list(profile_to_csv_rows(profile))
     v = profile.verdict
     rows.append(["verdict", str(v), "", "", ""])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .paths import bridge_touch_probability
-from .rng import RngStream
+from .rng import RngStream, map_lanes
 
 __all__ = [
     "FamilyDraw",
@@ -65,7 +65,12 @@ class MartingaleFamily:
     ``simulate_multi(stream, t, size)`` returns one stacked
     :class:`FamilyDraw` holding every member index, all evaluated on the
     same underlying driving noise, which matches the pathwise truncation
-    constructions and lets a profile sweep every member in one pass.
+    constructions and lets a profile sweep every member in one pass.  The
+    lanes must be independent, with ``stream.generator()`` drawn only by
+    ``standard_normal`` and ``random`` with the lanes on the first axis,
+    in calls that do not depend on the lane count: the profile may run a
+    chunk's lanes in ranges on several threads
+    (:func:`~rarepath.rng.map_lanes`).
     """
 
     description: str
@@ -111,13 +116,28 @@ def _check(a, shape, name, upper=math.inf):
         raise InvalidArgument(f"family {name} must be finite and {bounds}")
 
 
-def _column_stats(family, replicas, seed, columns) -> dict:
+def _joined(parts):
+    """One draw of the lane ranges of :func:`~rarepath.rng.map_lanes`."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def lanes(name):
+        rows = [getattr(p, name) for p in parts]
+        return None if rows[0] is None else np.concatenate(rows, axis=-1)
+
+    return FamilyDraw(lanes("values"), lanes("stopped"), lanes("limit_values"))
+
+
+def _column_stats(family, replicas, seed, columns, workers=1) -> dict:
     """``{(n, t): [(mean, stderr) per column]}`` of the ``(members, size)``
     columns that ``columns(draw)`` yields from each stacked draw, one at a
     time so that only one is held.  Chunk ``b`` of time ``t_grid[ci]``
-    runs on substream ``(ci << 20) | b``.  Each row is reduced on its own,
-    by ``.sum(axis=-1)`` and ``einsum`` (a fixed summation order that no
-    BLAS thread count changes).  Values must be finite and nonnegative."""
+    runs on substream ``(ci << 20) | b``, its lanes split over up to
+    ``workers`` threads that each make their rows of the chunk's one
+    stream (the draw is the same at any worker count).  Each row is reduced on
+    its own, by ``.sum(axis=-1)`` and ``einsum`` (a fixed summation order
+    that no BLAS thread count changes).  Values must be finite and
+    nonnegative."""
     if replicas < 1:
         raise InvalidArgument("replicas must be positive")
     if not family.n_grid or not family.t_grid:
@@ -129,7 +149,9 @@ def _column_stats(family, replicas, seed, columns) -> dict:
         sums = 0.0  # (columns, [sum, sum of squares], members)
         for batch, done in enumerate(range(0, replicas, _CHUNK)):
             size = min(_CHUNK, replicas - done)
-            draw = family.simulate_multi(RngStream(seed, (ci << 20) | batch), t, size)
+            draw = _joined(map_lanes(lambda s, m: family.simulate_multi(s, t, m),
+                                     RngStream(seed, (ci << 20) | batch), size,
+                                     workers))
             _check(draw.values, (len(family.n_grid), size), "values")
             sums = sums + np.array([(c.sum(axis=-1), np.einsum("ij,ij->i", c, c))
                                     for c in map(np.ascontiguousarray, columns(draw))])
@@ -141,8 +163,11 @@ def _column_stats(family, replicas, seed, columns) -> dict:
 
 
 def q_tail_profile(family: MartingaleFamily, kappa_grid, replicas: int,
-                   seed: int, floor_threshold: float = 0.05) -> TightnessProfile:
-    """Monte Carlo profile of the reweighted tails over the family grid.
+                   seed: int, floor_threshold: float = 0.05,
+                   workers: int = 1) -> TightnessProfile:
+    """Monte Carlo profile of the reweighted tails over the family grid,
+    each chunk's lanes split over up to ``workers`` threads (the numbers
+    never depend on the worker count).
 
     Verdict rules (statistical, at the configured thresholds): the
     profile is tightness-consistent when, for every time, every member's
@@ -163,7 +188,8 @@ def q_tail_profile(family: MartingaleFamily, kappa_grid, replicas: int,
         return (v * (v >= k) for k in kappas)
 
     entries = {(n, t, k): cell
-               for (n, t), cols in _column_stats(family, replicas, seed, tails).items()
+               for (n, t), cols in _column_stats(family, replicas, seed, tails,
+                                                       workers).items()
                for k, cell in zip(kappas, cols)}
 
     def cells(k):

@@ -31,7 +31,6 @@ the tolerances of the test suite.
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,7 +40,7 @@ from .densities import EstimatorReport, importance_estimate
 from .errors import HorizonExpiredError, InvalidArgument, ZeroAcceptance
 from .paths import (HORIZON_CAP, ContinuousPath, ReversedExcursion,
                     ou_scale_ratio)
-from .rng import RngStream
+from .rng import RngStream, map_batches
 
 __all__ = [
     "PathFunctional",
@@ -368,24 +367,19 @@ def _batch_sizes(total):
 
 def _run_batched(batch, purpose, seed, total, level, h, occ_level, detection,
                  workers, *extra):
-    """Run ``batch`` over the batches of :func:`_batch_sizes`, batch ``i``
-    drawing from substream ``(seed, purpose, i)``, and merge the outputs in
-    batch order (arrays and lists joined, counts summed); the split depends
-    only on ``total``, never on the worker count."""
+    """Run ``batch`` over the batches of :func:`_batch_sizes` with
+    :func:`~rarepath.rng.map_batches`, batch ``i`` drawing from substream
+    ``(seed, purpose, i)``, and merge the outputs in batch order (arrays
+    and lists joined, counts summed); the split depends only on
+    ``total``, never on the worker count."""
     max_steps = int(HORIZON_CAP / h)
-    sizes = _batch_sizes(total)
 
     def one(i, m):
         return batch(RngStream(seed).generator(purpose, i), m, level, h,
                      occ_level, detection, max_steps, *extra)
 
-    if workers <= 1 or len(sizes) == 1:
-        parts = [one(i, m) for i, m in enumerate(sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, range(len(sizes)), sizes))
     merged = []
-    for col in zip(*parts):
+    for col in zip(*map_batches(one, _batch_sizes(total), workers)):
         if isinstance(col[0], np.ndarray):
             merged.append(np.concatenate(col))
         elif isinstance(col[0], list):
@@ -558,7 +552,8 @@ def scaling_report(levels, step: float, replicas: int, seed: int,
     function (measuring it by simulation is exactly what becomes
     infeasible for large levels); attempt cost comes from a capped Monte
     Carlo run.  Log-log slopes, fitted over at least two distinct levels,
-    are reported descriptively, not asserted.
+    are reported descriptively, not asserted.  The levels run on up to
+    ``workers`` threads, largest first, each level's engines on one.
     """
     # every level must make a valid query, and a slope needs two of them
     levels = [OuQuery(lv, PathFunctional.indicator(), replicas, step, seed,
@@ -569,10 +564,12 @@ def scaling_report(levels, step: float, replicas: int, seed: int,
     if 0.0 in p_hits:
         raise InvalidArgument(f"the hitting probability of level {levels[p_hits.index(0.0)]} "
                               "underflows float64, so its rejection cost is infinite")
-    rows = []
-    for lv, p_hit in zip(levels, p_hits):
+
+    def row(_, i):
+        # one worker inside a level, so that no pools nest
+        lv = levels[i]
         xi, t0, occ, logw, steps = _run_is(seed, lv, step, replicas, None,
-                                           detection, workers)
+                                           detection, 1)
         rep = importance_estimate(payoffs=np.ones_like(logw), log_weights=logw)
         is_cost = steps * step / replicas
         ess_frac = rep.ess / replicas
@@ -580,13 +577,18 @@ def scaling_report(levels, step: float, replicas: int, seed: int,
 
         n_cost = min(replicas, 20000)
         hit, dur, _occ, steps_rej = _run_rej(seed, lv, step, n_cost, None,
-                                             detection, workers)
+                                             detection, 1)
         attempt_cost = steps_rej * step / n_cost
-        rej_cost_eff = attempt_cost / p_hit
-        rows.append(ScalingRow(
+        rej_cost_eff = attempt_cost / p_hits[i]
+        return ScalingRow(
             level=int(lv), is_cost=is_cost, is_cost_per_effective=is_cost_eff,
             ess_fraction=ess_frac, rejection_cost_per_effective=rej_cost_eff,
-            ratio=rej_cost_eff / is_cost_eff))
+            ratio=rej_cost_eff / is_cost_eff)
+
+    # the cost grows with the level, so the longest runs start first
+    order = sorted(range(len(levels)), key=lambda i: -levels[i])
+    done = dict(zip(order, map_batches(row, order, workers)))
+    rows = [done[i] for i in range(len(levels))]
     lv_log = np.log([r.level for r in rows])
     is_exp = float(np.polyfit(lv_log, np.log([r.is_cost_per_effective for r in rows]), 1)[0])
     rej_exp = float(np.polyfit(lv_log, np.log([r.rejection_cost_per_effective for r in rows]), 1)[0])

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import rarepath
+from rarepath import diagnostics
 from rarepath.cli import main
 
 
@@ -149,6 +150,21 @@ def test_tightness_constant_family(tmp_path):
     text = _read(out).decode()
     assert text.splitlines()[0] == "n,t,kappa,estimate,stderr"
     assert "verdict,TightnessConsistent" in text
+
+
+@pytest.mark.parametrize("family", ["inverse-bessel", "bounded-drift"])
+def test_tightness_bytes_do_not_depend_on_workers(family, tmp_path, monkeypatch):
+    # 256-replica chunks: 2000 replicas run as 8 chunks, each split by
+    # lane over the workers
+    monkeypatch.setattr(diagnostics, "_CHUNK", 256)
+    outs = []
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"t{workers}.csv"
+        assert _run(["tightness", "--family", family, "--replicas", "2000",
+                     "--step", "0.0625", "--seed", "4", "--workers", workers,
+                     "--out", str(out)]) == 0
+        outs.append(_read(out))
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_chain_demo_identities(tmp_path):

@@ -271,3 +271,15 @@ def test_tightness_statistics_pinned(case):
                                 member="member").items()))
     digest = hashlib.sha256(repr(payload).encode()).hexdigest()
     assert digest == _TIGHTNESS_DIGESTS[case]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("case", list(_TIGHTNESS_CASES))
+def test_tightness_profile_does_not_depend_on_workers(case, workers):
+    # each chunk's lanes run in ranges on threads, each making its rows
+    # of the chunk's one stream: the profile is the pinned one to the bit
+    make, replicas, seed = _TIGHTNESS_CASES[case]
+    fam = make()
+    one = q_tail_profile(fam, [2.0, 4.0, 8.0], replicas=replicas, seed=seed)
+    assert q_tail_profile(fam, [2.0, 4.0, 8.0], replicas=replicas, seed=seed,
+                          workers=workers) == one

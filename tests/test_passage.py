@@ -326,6 +326,14 @@ def test_scaling_report_shape_and_monotone_cost():
     assert math.isfinite(rep.is_exponent) and math.isfinite(rep.rejection_exponent)
 
 
+def test_scaling_rows_keep_the_given_level_order_at_any_worker_count():
+    # the levels run largest first; the rows come back in the caller's order
+    reps = [scaling_report([3, 2, 4], step=1e-2, replicas=300, seed=5, workers=w)
+            for w in (1, 2)]
+    assert [r.level for r in reps[0].rows] == [3, 2, 4]
+    assert reps[0] == reps[1]
+
+
 # sha256 of the engines' outputs (``tobytes()`` of each returned array, then
 # the lane-step count as text) for one 4096-lane batch at step 4e-3, seed 1.
 # Recorded before the engines kept their alive lanes compacted: a rewrite of

@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
-from rarepath import RngStream
+from rarepath import RngStream, rng
+from rarepath.rng import map_lanes
 
 
 def test_same_address_same_sequence():
@@ -34,3 +37,79 @@ def test_substream_reserved_for_roots():
 def test_negative_stream_id_rejected():
     with pytest.raises(ValueError):
         RngStream(1, -1)
+
+
+def _walk(stream, m, steps=6):
+    # a toy lane simulation: every lane reads only its own rows
+    gen = stream.generator()
+    x = np.zeros((m, 3))
+    for _ in range(steps):
+        x += gen.standard_normal((m, 3))
+        x[:, 0] *= gen.random(m)
+    return x
+
+
+def _within(seconds, fn):
+    """``fn()``, failing the test instead of hanging if it takes longer."""
+    box = {}
+
+    def target():
+        try:
+            box["out"] = fn()
+        except BaseException as exc:
+            box["exc"] = exc
+
+    th = threading.Thread(target=target, daemon=True)
+    th.start()
+    th.join(seconds)
+    assert not th.is_alive(), "map_lanes did not return"
+    if "exc" in box:
+        raise box["exc"]
+    return box["out"]
+
+
+@pytest.mark.parametrize("join", ["match", "redraw"])
+@pytest.mark.parametrize("total,workers", [
+    (1, 1), (1, 4), (2, 3), (5, 2), (7, 3), (1000, 2), (1000, 4), (40000, 3)])
+def test_lane_ranges_read_their_rows_of_one_draw(total, workers, join, monkeypatch):
+    if join == "redraw":
+        # a shifted guess matches nowhere: every range draws its normals
+        # again from the word where the rows before it end
+        join_at = rng._SplitDraws._join
+        monkeypatch.setattr(rng._SplitDraws, "_join", lambda self, end, first, guess, *a:
+                            join_at(self, end, first, guess + 1.0, *a))
+    whole = _walk(RngStream(8, 3), total)
+    parts = _within(60, lambda: map_lanes(_walk, RngStream(8, 3), total, workers))
+    assert len(parts) == min(workers, total)
+    assert [len(p) for p in parts] == sorted((len(p) for p in parts), reverse=True)
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_lane_ranges_that_draw_differently_are_refused():
+    def uneven(stream, m):  # a range of 5 lanes makes one more draw
+        return _walk(stream, m, steps=m)
+
+    def one_more_normal(stream, m):  # only the first range makes it
+        gen = stream.generator()
+        return [gen.standard_normal(m) for _ in range(2 + (m == 5))]
+
+    def not_by_lane(stream, m):
+        return stream.generator().random(3)
+
+    for run in (uneven, one_more_normal, not_by_lane):
+        with pytest.raises(ValueError):
+            _within(60, lambda: map_lanes(run, RngStream(8), 9, 2))
+
+
+def test_lane_range_error_reaches_the_caller():
+    # the 4-lane range fails after two draws while the 5-lane range runs
+    # far ahead and must be woken, not left waiting for it
+    def fails(stream, m):
+        gen = stream.generator()
+        for k in range(50):
+            gen.standard_normal(m)
+            if m == 4 and k == 1:
+                raise ArithmeticError("range failed")
+
+    with pytest.raises(ArithmeticError, match="range failed"):
+        _within(60, lambda: map_lanes(fails, RngStream(8), 9, 2))
