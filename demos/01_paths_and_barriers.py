@@ -1,27 +1,23 @@
 """Stopped paths and barrier detection.
 
-Simulates the mean-reverting diffusion between two barriers and the
-radial-complement process, and shows why sub-step crossing coins matter:
-pure grid detection misses excursions across a barrier inside a step and
-undercounts hits by O(sqrt(step)).
+Draws one radial-complement excursion with the reweighted engine, and
+shows why sub-step crossing coins matter: pure grid detection misses
+excursions across a barrier inside a step and undercounts hits by
+O(sqrt(step)).
 """
 
 from rarepath import (OuQuery, PathFunctional, RngStream, oracle_rejection,
-                      ou_scale_ratio, simulate_bessel3_complement,
-                      simulate_ou_stopped)
+                      ou_scale_ratio, sample_reversed_bridge)
 
 SEED = 1
 
-print("One stopped mean-reverting path from 1.0 between barriers 0 and 2:")
-seg = simulate_ou_stopped(RngStream(SEED), x0=1.0, step=1e-3, lower=0.0,
-                          upper=2.0, detection="bridge")
-print(f"  hit the {seg.hit.value!r} barrier after ~{seg.stop_time_refined:.3f} "
-      f"time units ({seg.stop_index} grid steps)")
-
-print("\nOne radial-complement path from level 2 (always reaches 0):")
-seg = simulate_bessel3_complement(RngStream(SEED + 1), level=2.0, step=1e-3)
-print(f"  starts at {seg.path.values[0]} exactly, reaches 0 at "
-      f"t ~ {seg.stop_time_refined:.3f}")
+print("One radial-complement path 2 - |B| from level 2 (always reaches 0):")
+bs = sample_reversed_bridge(RngStream(SEED), level=2, step=1e-3)
+v = bs.excursion.segment.values
+print(f"  starts at {v[-1]} exactly, last visits 1 at t ~ "
+      f"{bs.last_visit_time:.3f} and reaches 0 at t ~ {bs.hit_time:.3f}")
+print(f"  read backwards from that last visit: {len(v)} grid values from "
+      f"{v[0]} up to {v[-1]}")
 
 print("\nUpward-hit probability from 1.0, barriers (0, 2):")
 p_exact = ou_scale_ratio(1.0, 2.0)

@@ -10,11 +10,11 @@ diagnostics probe whether a candidate density family keeps unit mass
 Modules
 -------
 rng          reproducible counter-based random streams, the batch driver
-paths        Brownian / OU / radial-complement paths and post-processing
+paths        Brownian paths, stopped-path post-processing, the OU scale function
 jumps        compound Poisson simulation (time change, thinning), compensators
 densities    log-space density accumulators and the weighted estimator
 lattice      nearest-neighbour walks, conditioned kernels, reversal, oracles
-passage      the conditioned-OU estimator, rejection oracle, cost scaling
+passage      one engine per passage law: estimator, rejection oracle, scaling
 _native      builds and loads the compiled passage lane steps (_lanes.c)
 diagnostics  reweighted tail profiles, stopped tails, unit-mean checks
 cli          the ``rarepath`` command
@@ -42,8 +42,7 @@ from .passage import (BridgeSample, OuQuery, PathFunctional, ScalingReport,
                       sample_reversed_bridge, scaling_report)
 from .paths import (ContinuousPath, Hit, ReversedExcursion, StoppedSegment,
                     ou_scale_ratio, path_integral_square,
-                    reversed_last_excursion, simulate_bessel3_complement,
-                    simulate_brownian, simulate_ou_stopped)
+                    reversed_last_excursion, simulate_brownian)
 from .rng import RngStream
 
 __version__ = "0.1.0"

@@ -177,13 +177,20 @@ def _cmd_ou_scaling(args):
     return 0
 
 
+def _finite(field: str) -> float:
+    val = float(field)
+    if not math.isfinite(val):
+        raise ValueError(f"{field!r} is not finite")
+    return val
+
+
 def _const_intensity(rate: str):
-    lam = float(rate)
+    lam = _finite(rate)
     return (lambda y: lam), lam
 
 
 def _affine_intensity(a: str, b: str):
-    a, b = float(a), float(b)
+    a, b = _finite(a), _finite(b)
     return (lambda y: a + b * abs(y)), None
 
 
@@ -202,6 +209,8 @@ def _cmd_cpp_simulate(args):
     if args.intensity.split(":")[0] == "affine" and mark.dim != 1:
         raise InvalidArgument(f"the affine intensity needs a 1-d mark, not dim {mark.dim}")
     g_state, const_rate = _parse_spec("intensity", args.intensity, _INTENSITIES)
+    if not math.isfinite(args.bound):
+        raise InvalidArgument(f"--bound must be finite, not {args.bound!r}")
     stream = RngStream(args.seed)
     if args.method == "time-change":
         path = simulate_cpp_time_change(stream, g_state, mark, args.x0, args.horizon)

@@ -223,8 +223,8 @@ def simulate_cpp_time_change(stream: RngStream, g_state: Callable,
     clock = 0.0
     while True:
         rate = float(g_state(x[0] if x.size == 1 else x))
-        if not rate > 0.0:
-            raise InvalidIntensity(f"intensity {rate!r} is not strictly positive")
+        if not 0.0 < rate < np.inf:
+            raise InvalidIntensity(f"intensity {rate!r} is not finite and strictly positive")
         gap = gen.standard_exponential()
         clock += gap / rate
         if clock > horizon:
@@ -250,8 +250,8 @@ def simulate_cpp_thinning(stream: RngStream, g: IntensityFn, g_bound: float,
     receives an independent mark.  An observed intensity above the bound
     is a hard failure, never a silent clip.
     """
-    if g_bound <= 0.0:
-        raise InvalidArgument("g_bound must be positive")
+    if not 0.0 < g_bound < np.inf:
+        raise InvalidArgument("g_bound must be finite and positive")
     if not 0.0 < horizon < np.inf:
         raise InvalidArgument("horizon must be finite and positive")
     x0_arr = _start_value(x0)
@@ -270,8 +270,8 @@ def simulate_cpp_thinning(stream: RngStream, g: IntensityFn, g_bound: float,
                            np.array(marks) if marks else np.zeros((0, mark_dist.dim)),
                            horizon=horizon)
         rate = g.eval(t, partial)
-        if rate < 0.0:
-            raise InvalidIntensity("negative intensity observed")
+        if not rate >= 0.0:
+            raise InvalidIntensity(f"intensity {rate!r} is negative or NaN")
         if rate > g_bound * (1.0 + 1e-12):
             raise BoundViolation(
                 f"intensity {rate} exceeds declared bound {g_bound} at t={t}")
@@ -332,8 +332,8 @@ def time_change_counts(stream: RngStream, g_of_value: Callable, mark: float,
     active = np.arange(lanes)
     for _ in range(max_rounds):
         rate = np.asarray(g_of_value(state[active]), dtype=float)
-        if np.any(rate <= 0.0):
-            raise InvalidIntensity("intensity must stay strictly positive")
+        if not np.all((0.0 < rate) & (rate < np.inf)):
+            raise InvalidIntensity("intensity must stay finite and strictly positive")
         clock[active] += gen.standard_exponential(active.size) / rate
         landed = clock[active] <= t
         idx = active[landed]
@@ -352,8 +352,8 @@ def thinning_counts(stream: RngStream, g_of_value: Callable, g_bound: float,
                     max_rounds: int = 10 ** 6) -> np.ndarray:
     """Jump counts at ``t`` for ``lanes`` thinning replicas (scalar state,
     deterministic mark).  Hard-fails if the bound is ever exceeded."""
-    if g_bound <= 0.0:
-        raise InvalidArgument("g_bound must be positive")
+    if not 0.0 < g_bound < np.inf:
+        raise InvalidArgument("g_bound must be finite and positive")
     gen = stream.generator()
     counts = np.zeros(lanes, dtype=np.int64)
     clock = np.zeros(lanes)
@@ -364,6 +364,8 @@ def thinning_counts(stream: RngStream, g_of_value: Callable, g_bound: float,
         u = gen.random(active.size)
         alive = clock[active] <= t
         rate = np.asarray(g_of_value(state[active]), dtype=float)
+        if not np.all(rate[alive] >= 0.0):
+            raise InvalidIntensity("intensity must stay nonnegative")
         if np.any(rate[alive] > g_bound * (1.0 + 1e-12)):
             raise BoundViolation("intensity exceeded the declared bound")
         accept = alive & (u < rate / g_bound)

@@ -1,9 +1,14 @@
-"""Continuous sample paths: Brownian motion, stopped Ornstein-Uhlenbeck,
-the level-complement radial process of 3-d Brownian motion, and path
-post-processing (last-passage extraction, time reversal, quadrature).
+"""Continuous sample paths: Brownian motion, stopped-path containers, path
+post-processing (last-passage extraction, time reversal, quadrature) and
+the OU scale function.
 
-All simulators are pure functions of an :class:`~rarepath.rng.RngStream`
-and their parameters: identical inputs give bitwise-identical paths.
+:func:`simulate_brownian` is a pure function of an
+:class:`~rarepath.rng.RngStream` and its parameters: identical inputs give
+bitwise-identical paths.  Stopped OU paths and the level-complement
+radial process are drawn only by the passage engines
+(:mod:`rarepath.passage`); :class:`StoppedSegment` and
+:func:`reversed_last_excursion` are the independent reference their
+recorded excursions are checked against.
 
 Barrier handling
 ----------------
@@ -16,11 +21,11 @@ inside the step, which reduces the detection bias to O(step).  Two
 primitives carry this rule: :func:`bridge_touch_probability` gives the
 coin's probability and :func:`crossing_fraction` places the crossing
 inside its step, by linear interpolation for a grid stop and at mid-step
-for a coin stop.  They serve the scalar simulators,
-:func:`reversed_last_excursion` and the inverse-Bessel family; the
-passage engines take both rules only from their compiled step
-(``_lanes.c``), which states them bit for bit.  A grid stop keeps its
-overshoot value; a coin stop snaps the final path value to the barrier.
+for a coin stop.  They serve :func:`reversed_last_excursion` and the
+inverse-Bessel family; the passage engines take both rules only from
+their compiled step (``_lanes.c``), which states them bit for bit.  A
+grid stop keeps its overshoot value; a coin stop snaps the final path
+value to the barrier.
 """
 
 import enum
@@ -40,8 +45,6 @@ __all__ = [
     "bridge_touch_probability",
     "crossing_fraction",
     "simulate_brownian",
-    "simulate_ou_stopped",
-    "simulate_bessel3_complement",
     "reversed_last_excursion",
     "path_integral_square",
     "ou_scale_ratio",
@@ -49,10 +52,8 @@ __all__ = [
     "HORIZON_CAP",
 ]
 
-#: Hard ceiling (time units) on the horizon of stopped simulations.
+#: Hard ceiling (time units) on the lanes of the passage engines.
 HORIZON_CAP = 1.0e6
-
-_BLOCK = 4096  # draws per block in scalar path loops
 
 
 class Hit(enum.Enum):
@@ -74,8 +75,8 @@ class ContinuousPath:
     dim: int = 1
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise InvalidArgument("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise InvalidArgument("step must be finite and positive")
         v = np.asarray(self.values)
         if v.size == 0:
             raise InvalidArgument("path must hold at least one value")
@@ -183,8 +184,9 @@ def simulate_brownian(stream: RngStream, dim: int, step: float,
     """
     if dim < 1:
         raise InvalidArgument("dim must be >= 1")
-    if step <= 0.0 or horizon < step:
-        raise InvalidArgument("need step > 0 and horizon >= step")
+    # chained, so that a NaN or an infinite step or horizon fails it too
+    if not 0.0 < step <= horizon < math.inf:
+        raise InvalidArgument("need 0 < step <= horizon < inf")
     n_steps = int(math.floor(horizon / step + 1e-9))
     gen = stream.generator()
     if dim == 1:
@@ -194,136 +196,6 @@ def simulate_brownian(stream: RngStream, dim: int, step: float,
         inc = gen.standard_normal((n_steps, dim)) * math.sqrt(step)
         vals = np.vstack([np.zeros(dim), np.cumsum(inc, axis=0)])
     return ContinuousPath(step=step, values=vals, dim=dim)
-
-
-def _ou_block(x, a, sq, z):
-    """Exact Euler block update x_{k+1} = a*x_k + sq*z_k, vectorized.
-
-    Valid while len(z)*(1-a) stays small enough that a**-len(z) does not
-    lose precision; callers cap the block length accordingly.
-    """
-    m = len(z)
-    powers = a ** np.arange(1, m + 1)
-    s = np.cumsum(sq * z / powers)
-    return powers * x + powers * s
-
-
-def _stopped_path(gen, x0, step, lower, upper, horizon, detection,
-                  block_len, advance):
-    """Blocked stopping loop behind the scalar simulators.
-
-    ``advance(x, m)`` draws and returns the ``m`` path values that follow
-    the value ``x``.  Each block then draws its coin uniforms (bridge
-    mode) and stops at the first grid point at or past ``lower`` or
-    ``upper``, or at the first coin; the path expires at the horizon as
-    described in :func:`simulate_ou_stopped`.
-    """
-    max_steps = max(int(math.floor(min(horizon, HORIZON_CAP) / step)), 1)
-    chunks = [np.array([x0])]
-    x = x0
-    k = 0
-    while k < max_steps:
-        m = min(block_len, max_steps - k)
-        xs = advance(x, m)
-        xprev = np.concatenate([[x], xs[:-1]])
-        up = xs >= upper
-        grid = up | (xs <= lower)
-        done = grid
-        if detection == "bridge":
-            u = gen.random(m)
-            p_lo = bridge_touch_probability(xprev - lower, xs - lower, step, u)
-            p_up = bridge_touch_probability(upper - xprev, upper - xs, step, u)
-            dn_b = ~grid & (u < p_lo)
-            up_b = ~grid & ~dn_b & (u < p_lo + p_up)
-            up |= up_b
-            done = grid | dn_b | up_b
-        if done.any():
-            j = int(np.argmax(done))
-            hit, barrier = (Hit.UPPER, upper) if up[j] else (Hit.LOWER, lower)
-            frac = float(crossing_fraction(xprev[j], xs[j], barrier, grid[j]))
-            if not grid[j]:
-                xs[j] = barrier
-            chunks.append(xs[: j + 1])
-            vals = np.concatenate(chunks)
-            idx = len(vals) - 1
-            return StoppedSegment(ContinuousPath(step=step, values=vals),
-                                  idx, hit, (idx - 1) * step + frac * step)
-        chunks.append(xs)
-        x = xs[-1]
-        k += m
-    vals = np.concatenate(chunks)
-    return StoppedSegment(ContinuousPath(step=step, values=vals),
-                          len(vals) - 1, Hit.EXPIRED, (len(vals) - 1) * step)
-
-
-def simulate_ou_stopped(stream: RngStream, x0: float, step: float,
-                        lower: float, upper: float,
-                        horizon: float = math.inf,
-                        detection: str = "grid") -> StoppedSegment:
-    """Euler path of ``dX = -X dt + dB`` stopped at the first barrier.
-
-    The path is killed at the first grid index with value <= ``lower`` or
-    >= ``upper`` (plus bridge coins when ``detection="bridge"``).  A path
-    still alive at ``horizon``, or at :data:`HORIZON_CAP` if that comes
-    first (the default horizon runs to the cap), is flagged
-    :attr:`Hit.EXPIRED`.
-    """
-    if step <= 0.0:
-        raise InvalidArgument("step must be positive")
-    if not lower < upper:
-        raise InvalidArgument("need lower < upper")
-    if not lower <= x0 <= upper:
-        raise InvalidArgument("x0 outside [lower, upper]")
-    if detection not in ("grid", "bridge"):
-        raise InvalidArgument("detection must be 'grid' or 'bridge'")
-
-    if x0 >= upper or x0 <= lower:
-        path = ContinuousPath(step=step, values=np.array([x0]))
-        return StoppedSegment(path, 0, Hit.UPPER if x0 >= upper else Hit.LOWER, 0.0)
-
-    gen = stream.generator()
-    a = 1.0 - step
-    sq = math.sqrt(step)
-
-    def advance(x, m):
-        return _ou_block(x, a, sq, gen.standard_normal(m))
-
-    return _stopped_path(gen, x0, step, lower, upper, horizon, detection,
-                         min(_BLOCK, max(64, int(8.0 / step))), advance)
-
-
-def simulate_bessel3_complement(stream: RngStream, level: float, step: float,
-                                horizon: float = math.inf,
-                                detection: str = "grid") -> StoppedSegment:
-    """Path of ``t -> level - |B(t)|`` for 3-d Brownian ``B``, stopped at 0.
-
-    The radial norm of three-dimensional Brownian motion from the origin
-    is transient, so the stopped time is a.s. finite; the process starts
-    at ``level`` exactly.  Expiry at ``horizon`` or :data:`HORIZON_CAP`
-    is flagged as in :func:`simulate_ou_stopped`; the default horizon
-    runs to the cap.
-    """
-    if level <= 0.0:
-        raise InvalidArgument("level must be positive")
-    if step <= 0.0:
-        raise InvalidArgument("step must be positive")
-    if detection not in ("grid", "bridge"):
-        raise InvalidArgument("detection must be 'grid' or 'bridge'")
-
-    gen = stream.generator()
-    sq = math.sqrt(step)
-    b = np.zeros(3)
-
-    def advance(_x, m):
-        nonlocal b
-        bs = b + sq * np.cumsum(gen.standard_normal((m, 3)), axis=0)
-        b = bs[-1]
-        return level - np.sqrt(np.einsum("ij,ij->i", bs, bs))
-
-    # no upper barrier: its grid test never fires and its coin probability
-    # (exp(-700) or 0) lies below every draw
-    return _stopped_path(gen, level, step, 0.0, math.inf, horizon, detection,
-                         _BLOCK, advance)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +247,7 @@ def path_integral_square(path: ContinuousPath, stop_time: float) -> float:
         raise InvalidArgument("scalar path required")
     h = path.step
     dur = path.duration
-    if stop_time < 0.0 or stop_time > dur + 1e-12 * max(1.0, dur):
+    if not 0.0 <= stop_time <= dur + 1e-12 * max(1.0, dur):
         raise InvalidArgument("stop_time outside the path")
     stop_time = min(stop_time, dur)
     kf = int(math.floor(stop_time / h + 1e-12))

@@ -376,10 +376,20 @@ def test_bad_step_or_workers_exits_2(case, tmp_path, capsys):
     ["cpp-simulate", "--x0", "inf"],
     ["cpp-simulate", "--x0=-inf"],
     ["cpp-simulate", "--method", "thinning", "--bound", "32", "--x0", "nan"],
+    ["cpp-simulate", "--method", "thinning", "--intensity", "const:nan"],
+    ["cpp-simulate", "--method", "thinning", "--intensity", "const:inf"],
+    ["cpp-simulate", "--method", "thinning", "--intensity", "affine:1:1",
+     "--bound", "inf"],
+    ["cpp-simulate", "--method", "thinning", "--intensity", "affine:1:1",
+     "--bound", "nan"],
+    ["cpp-simulate", "--method", "time-change", "--intensity", "const:inf"],
+    ["cpp-simulate", "--intensity", "affine:nan:1"],
 ], ids=["mark-gauss-short", "mark-not-float", "intensity-affine-short",
         "intensity-not-float", "affine-on-2d-mark", "samples-0", "step-nan",
         "step-inf", "cap-nan", "mark-sd-nan", "horizon-nan", "horizon-inf",
-        "x0-nan", "x0-inf", "x0-minus-inf", "thinning-x0-nan"])
+        "x0-nan", "x0-inf", "x0-minus-inf", "thinning-x0-nan",
+        "thinning-const-nan", "thinning-const-inf", "thinning-bound-inf",
+        "thinning-bound-nan", "time-change-const-inf", "affine-coefficient-nan"])
 def test_malformed_spec_or_value_exits_2(argv, tmp_path, capsys):
     rc = _run(argv + ["--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2

@@ -66,6 +66,35 @@ def test_time_change_rejects_nonpositive_intensity():
         simulate_cpp_time_change(RngStream(1), lambda y: -1.0, UNIT, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0])
+def test_time_change_rejects_non_finite_or_zero_rate(rate):
+    with pytest.raises(InvalidIntensity):
+        simulate_cpp_time_change(RngStream(1), lambda y: rate, UNIT, 0.0, 1.0)
+    with pytest.raises(InvalidIntensity):
+        time_change_counts(RngStream(1), lambda v: np.full_like(v, rate), 1.0,
+                           0.0, 1.0, 8)
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1.0])
+def test_thinning_rejects_non_finite_or_nonpositive_bound(bound):
+    with pytest.raises(InvalidArgument):
+        simulate_cpp_thinning(RngStream(1), IntensityFn.deterministic(lambda t: 1.0),
+                              bound, UNIT, 0.0, 1.0)
+    with pytest.raises(InvalidArgument):
+        thinning_counts(RngStream(1), lambda v: np.ones_like(v), bound, 1.0,
+                        0.0, 1.0, 8)
+
+
+@pytest.mark.parametrize("rate", [math.nan, -1.0])
+def test_thinning_rejects_nan_or_negative_rate(rate):
+    with pytest.raises(InvalidIntensity):
+        simulate_cpp_thinning(RngStream(1), IntensityFn.deterministic(lambda t: rate),
+                              2.0, UNIT, 0.0, 5.0)
+    with pytest.raises(InvalidIntensity):
+        thinning_counts(RngStream(1), lambda v: np.full_like(v, rate), 2.0, 1.0,
+                        0.0, 5.0, 8)
+
+
 def test_thinning_constant_rate_poisson_counts():
     lam, t = 2.0, 1.5
     counts = thinning_counts(RngStream(29), lambda y: np.full_like(y, lam),

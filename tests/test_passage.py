@@ -12,7 +12,8 @@ from rarepath import (ContinuousPath, Hit, InvalidArgument, OuQuery,
                       scaling_report)
 from rarepath import passage
 from rarepath.passage import (_P_IS, _P_REJ, BridgeSample, _is_batch,
-                              _occ_cell, _rej_batch, _run_is, _run_rej)
+                              _occ_cell, _rej_batch, _run_is, _run_rej,
+                              conditional_samples)
 from rarepath.paths import HORIZON_CAP
 
 
@@ -101,6 +102,17 @@ def test_sample_reversed_bridge_determinism():
     b = sample_reversed_bridge(RngStream(9, 1), 2, 1e-3)
     assert a.log_weight == b.log_weight
     assert np.array_equal(a.excursion.segment.values, b.excursion.segment.values)
+
+
+def test_hit_time_mean_is_the_3d_exit_time():
+    # X' = N - |B| reaches 0 when 3-d Brownian motion leaves the ball of
+    # radius N: mean N^2/3 and SD N^2*sqrt(2/45), whatever the step
+    n = 20000
+    for level in (2, 3):
+        q = OuQuery(level, PathFunctional.indicator(), n, 4e-3, 5)
+        t0 = conditional_samples(q, workers=2).hit_times
+        se = level * level * math.sqrt(2.0 / 45.0 / n)
+        assert abs(t0.mean() - level * level / 3.0) < 4.0 * se, level
 
 
 def test_estimate_indicator_is_exactly_one():

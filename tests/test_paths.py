@@ -1,4 +1,3 @@
-import hashlib
 import math
 import warnings
 
@@ -10,8 +9,7 @@ from scipy import special
 
 from rarepath import (ContinuousPath, Hit, InvalidArgument, LevelNeverReached,
                       RngStream, ou_scale_ratio, path_integral_square,
-                      reversed_last_excursion, simulate_bessel3_complement,
-                      simulate_brownian, simulate_ou_stopped)
+                      reversed_last_excursion, simulate_brownian)
 from rarepath.paths import (_SCALE_LOG_AT_INT, StoppedSegment, _scale_log,
                             bridge_touch_probability, crossing_fraction,
                             ou_scale_ratio_log)
@@ -52,72 +50,10 @@ def test_brownian_invalid_args():
         simulate_brownian(RngStream(1), dim=1, step=-0.1, horizon=1.0)
     with pytest.raises(InvalidArgument):
         simulate_brownian(RngStream(1), dim=1, step=1.0, horizon=0.5)
-
-
-def test_ou_boundary_starts():
-    seg = simulate_ou_stopped(RngStream(1), 2.0, 1e-3, 0.0, 2.0)
-    assert seg.hit is Hit.UPPER and seg.stop_index == 0
-    seg = simulate_ou_stopped(RngStream(1), 0.0, 1e-3, 0.0, 2.0)
-    assert seg.hit is Hit.LOWER and seg.stop_index == 0
-
-
-def test_ou_outside_barriers_rejected():
-    with pytest.raises(InvalidArgument):
-        simulate_ou_stopped(RngStream(1), 3.0, 1e-3, 0.0, 2.0)
-
-
-def test_ou_barrier_correctness_and_determinism():
-    for k in range(20):
-        seg = simulate_ou_stopped(RngStream(100, k), 1.0, 2e-3, 0.0, 2.0)
-        v = seg.path.values
-        assert seg.hit in (Hit.LOWER, Hit.UPPER)
-        inner = v[: seg.stop_index]
-        assert np.all(inner > 0.0) and np.all(inner < 2.0)
-        lo = (seg.stop_index - 1) * seg.path.step
-        assert lo <= seg.stop_time_refined <= lo + seg.path.step
-    a = simulate_ou_stopped(RngStream(5, 9), 1.0, 1e-3, 0.0, 2.0)
-    b = simulate_ou_stopped(RngStream(5, 9), 1.0, 1e-3, 0.0, 2.0)
-    assert np.array_equal(a.path.values, b.path.values)
-    assert a.stop_time_refined == b.stop_time_refined
-
-
-def test_ou_hitting_fraction_scalar_smoke():
-    # modest replica count; the Monte Carlo engines cover the tight band
-    hits = 0
-    n = 400
-    for k in range(n):
-        seg = simulate_ou_stopped(RngStream(2024, k), 1.0, 2e-3, 0.0, 2.0,
-                                  detection="bridge")
-        hits += seg.hit is Hit.UPPER
-    p = ou_scale_ratio(1.0, 2.0)
-    se = math.sqrt(p * (1 - p) / n)
-    assert abs(hits / n - p) < 4.0 * se + 0.25 * math.sqrt(2e-3)
-
-
-def test_bessel_starts_exactly_and_terminates():
-    for k in range(50):
-        seg = simulate_bessel3_complement(RngStream(11, k), 2.0, 2e-3)
-        assert seg.path.values[0] == 2.0
-        assert seg.hit is Hit.LOWER
-        assert seg.path.values[seg.stop_index] <= 0.0 or (
-            seg.path.values[seg.stop_index] == 0.0)
-
-
-def test_bessel_second_moment():
-    # |B(t)|^2 has mean 3t; read it off one path's increments at t = 1
-    t = 1.0
-    n = 20000
-    acc = []
-    g = RngStream(8).generator()
-    b = g.standard_normal((n, 3))
-    acc = (b * b).sum(axis=1) * t
-    se = acc.std() / math.sqrt(n)
-    assert abs(acc.mean() - 3.0 * t) < 3.0 * se
-
-
-def test_bessel_expiry_flag_without_extension():
-    seg = simulate_bessel3_complement(RngStream(1), 5.0, 1e-3, horizon=0.01)
-    assert seg.hit is Hit.EXPIRED
+    for step, horizon in [(math.nan, 1.0), (0.1, math.nan), (0.1, math.inf),
+                          (math.inf, math.inf)]:
+        with pytest.raises(InvalidArgument):
+            simulate_brownian(RngStream(1), dim=1, step=step, horizon=horizon)
 
 
 def test_reversed_last_excursion_single_crossing():
@@ -152,8 +88,9 @@ def test_path_integral_square_constant_and_trapezoid():
     assert path_integral_square(c, 2.0) == pytest.approx(9.0 * 2.0, abs=1e-12)
     lin = ContinuousPath(step=0.5, values=np.array([0.0, 0.5, 1.0]))
     assert path_integral_square(lin, 1.0) == pytest.approx(0.375, abs=1e-15)
-    with pytest.raises(InvalidArgument):
-        path_integral_square(lin, 1.5)
+    for stop_time in (1.5, math.nan, math.inf):
+        with pytest.raises(InvalidArgument):
+            path_integral_square(lin, stop_time)
 
 
 def test_path_integral_square_partial_cell():
@@ -258,8 +195,9 @@ def test_scale_ratio_strictly_decreasing_in_level(level, gap):
 
 
 def test_continuous_path_validation():
-    with pytest.raises(InvalidArgument):
-        ContinuousPath(step=0.0, values=np.array([1.0]))
+    for step in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidArgument):
+            ContinuousPath(step=step, values=np.array([1.0]))
     with pytest.raises(InvalidArgument):
         ContinuousPath(step=0.1, values=np.zeros((3, 2)), dim=3)
     p = ContinuousPath(step=0.5, values=np.arange(4.0))
@@ -362,130 +300,3 @@ def test_crossing_fraction_subnormal_step_is_silent():
         warnings.simplefilter("error")
         assert crossing_fraction(np.array([0.0]), np.array([5e-324]), 1.0,
                                  np.array([True]))[0] == 1.0
-
-
-# sha256 pins of the scalar simulators' output: every value's bytes, the
-# stop index, the barrier hit and the refined stop time of 16 paths
-# (substreams 0..15 of the seed).  OU runs from 1 between 0 and 2, the
-# radial complement from level 2.
-_SIMULATOR_DIGESTS = {
-    ("ou", "grid", 0.001, 1):
-        "7bc925cd6c61d66e8c1d605ce089b9f20c93c6f8abf95401fa5dbcc4c2cc0f26",
-    ("ou", "grid", 0.001, 2):
-        "169b699c75793f1f7687a881930d43f555a3f625a927a34bdffc08c0c0603a64",
-    ("ou", "grid", 0.001, 3):
-        "5dad13c0e0456b012612b8ef8e367bac9d0c88255a2a0dfc1a4bb8ab7f9d2205",
-    ("ou", "grid", 0.004, 1):
-        "7d141af66e77983f494a99867c8d032b2339ad17a597c27595bc3a39a4dd2a5b",
-    ("ou", "grid", 0.004, 2):
-        "c5a4fb1883ab2e57041da0e3606961cb54fa17988784bdea75581cb9cb3ed68b",
-    ("ou", "grid", 0.004, 3):
-        "3bbd83d6d58c170667476ec742158dd2297fe40b183fbf93f6a21ed087070aee",
-    ("ou", "bridge", 0.001, 1):
-        "226b39db7454cb86f11809e755bcdba070c9158088030e24b1b7fcd7dd5c1db1",
-    ("ou", "bridge", 0.001, 2):
-        "75b155af5bbd8106bf839d0531d6b178c0f82977605b9656971b81262cf94669",
-    ("ou", "bridge", 0.001, 3):
-        "d871de3dd3e99bf285daf65f9081634bb360b5d4635f5fd55a12b30d7125fd78",
-    ("ou", "bridge", 0.004, 1):
-        "43a7cb22bce42b8e9385be92fab16ce8c8468b6ff82bfe90dfbfe41e520a0ac9",
-    ("ou", "bridge", 0.004, 2):
-        "d6e1bd949fc269005fe00a4a423880dd9a8412565a8369249c96c614f01cc8a0",
-    ("ou", "bridge", 0.004, 3):
-        "5ff82e68ffbb5cf4d888151be46efdf74f21d4e5669b89e9acd772e7ac91d987",
-    ("bessel", "grid", 0.001, 1):
-        "53c2a89f6dc16ffb6e2c2b9954cfe07391534f3215380789ccf0dd1e3c1c15fd",
-    ("bessel", "grid", 0.001, 2):
-        "22d5b3d7d1a4ed68668cdaccfa65aeb977d943f5d8181a44892cc5fe6cf2c4b3",
-    ("bessel", "grid", 0.001, 3):
-        "0c627ffbe9e2e8a19e335a03ae4d2e0881d6a1256d3e3d88cfb27a58238f3a55",
-    ("bessel", "grid", 0.004, 1):
-        "81405c5d8ed1d1238f62cda6b47096e3cdc4abcd8e9a864debcaca3738cc1320",
-    ("bessel", "grid", 0.004, 2):
-        "dd2b1a42ccb74b7a4df9c9edd9eb7d19f6d2916ce9de2ca31e976114986bf363",
-    ("bessel", "grid", 0.004, 3):
-        "3d164384b0bf5f75ec6243034cb787ae8b1dd43afe895cc1689dd44cd211a8fd",
-    ("bessel", "bridge", 0.001, 1):
-        "1675100006ebe7c22d84b76e3ea8e3b094cbaa361b4038e1a42d4cc508eb913a",
-    ("bessel", "bridge", 0.001, 2):
-        "10a6a6a59d0317785ab3463de6ecd884b72786561b4023432be78ee42cb0010e",
-    ("bessel", "bridge", 0.001, 3):
-        "028802c7d86356114c3be91795ea846718a462896cb507c7196d178e64512d12",
-    ("bessel", "bridge", 0.004, 1):
-        "cd93c69d95fe825eee4feac4b75578c8ce588f0d4a2ae2a70ec901ece9e08ec1",
-    ("bessel", "bridge", 0.004, 2):
-        "c3f359ab215b29c2f24ca13035f4513599e5189fa77d145f0795feed4633efa5",
-    ("bessel", "bridge", 0.004, 3):
-        "169b2fed077b7d390f8f867ab245be25b2a2d7026119c76fa62e4c24f10dab43",
-}
-
-# edge cases: expiry at a finite horizon (several blocks long) and
-# OU paths started on a barrier
-_SIMULATOR_EDGE_RUNS = {
-    "ou-expire-grid": lambda k: simulate_ou_stopped(
-        RngStream(4, k), 0.5, 1e-3, -50.0, 50.0, horizon=10.0),
-    "ou-expire-bridge": lambda k: simulate_ou_stopped(
-        RngStream(4, k), 0.5, 1e-3, -50.0, 50.0, horizon=10.0,
-        detection="bridge"),
-    "ou-expire-short-bridge": lambda k: simulate_ou_stopped(
-        RngStream(5, k), 1.0, 4e-3, 0.0, 2.0, horizon=0.05,
-        detection="bridge"),
-    "bessel-expire-grid": lambda k: simulate_bessel3_complement(
-        RngStream(4, k), 50.0, 1e-3, horizon=10.0),
-    "bessel-expire-bridge": lambda k: simulate_bessel3_complement(
-        RngStream(4, k), 50.0, 1e-3, horizon=10.0, detection="bridge"),
-    "ou-lower-start": lambda k: simulate_ou_stopped(
-        RngStream(4, k), 0.0, 1e-3, 0.0, 2.0,
-        detection=("grid", "bridge")[k % 2]),
-    "ou-upper-start": lambda k: simulate_ou_stopped(
-        RngStream(4, k), 2.0, 1e-3, 0.0, 2.0,
-        detection=("grid", "bridge")[k % 2]),
-}
-
-_SIMULATOR_EDGE_DIGESTS = {
-    "ou-expire-grid":
-        "f38040a656cdfaa24ba7aaeb70485a521f7ecaada7a0cb9e5c04c77b3c62c2e3",
-    "ou-expire-bridge":
-        "da4249bfe41603a80794bc1498fd5e2b36665c1c7334009f6caeda281d8b91f6",
-    "ou-expire-short-bridge":
-        "99d110138fdd5e0ce193f08ccfa89b426a3a907e864634ba4ca18e5a37bbb05d",
-    "bessel-expire-grid":
-        "1f711854c1da1936efd24c0c6d9aaa04648cf0b549976ee0cd58ae696461ec8b",
-    "bessel-expire-bridge":
-        "8b0561f021c2607ea6d65b07929638c19f5e30dba9c8441a7eba4c8a9ff11a6a",
-    "ou-lower-start":
-        "e384e11e43b5007582129ca6bdab81db407c876e00fcd68836b8720f5c0ad6f3",
-    "ou-upper-start":
-        "b3b4f5da4554898f80970d97e5f385bcec144f6c32b9a7f40ea2baa5e098dda4",
-}
-
-
-def _segments_digest(segments):
-    digest = hashlib.sha256()
-    for seg in segments:
-        digest.update(np.asarray(seg.path.values, dtype=float).tobytes())
-        digest.update(np.array([seg.stop_index, len(seg.path.values)]).tobytes())
-        digest.update(seg.hit.value.encode())
-        digest.update(np.float64(seg.stop_time_refined).tobytes())
-    return digest.hexdigest()
-
-
-@pytest.mark.parametrize("process,detection,step,seed", list(_SIMULATOR_DIGESTS))
-def test_simulator_outputs_pinned(process, detection, step, seed):
-    if process == "ou":
-        segs = [simulate_ou_stopped(RngStream(seed, k), 1.0, step, 0.0, 2.0,
-                                    detection=detection) for k in range(16)]
-    else:
-        segs = [simulate_bessel3_complement(RngStream(seed, k), 2.0, step,
-                                            detection=detection)
-                for k in range(16)]
-    key = (process, detection, step, seed)
-    assert _segments_digest(segs) == _SIMULATOR_DIGESTS[key]
-
-
-@pytest.mark.parametrize("case", list(_SIMULATOR_EDGE_RUNS))
-def test_simulator_edge_cases_pinned(case):
-    segs = [_SIMULATOR_EDGE_RUNS[case](k) for k in range(4)]
-    if "expire" in case:
-        assert all(seg.hit is Hit.EXPIRED for seg in segs)
-    assert _segments_digest(segs) == _SIMULATOR_EDGE_DIGESTS[case]
