@@ -1,4 +1,5 @@
-"""Build and load the compiled passage lane steps of ``_lanes.c``.
+"""Build and load ``_lanes.c``: the passage lane steps and numpy's
+standard normal sampler, which ``rng`` draws every array of normals with.
 
 The source is compiled with the system C compiler (``cc``) on first use
 and cached in the package's ``__pycache__`` directory, under a name keyed
@@ -8,8 +9,8 @@ partial file, and builds of other keys left there are then removed.
 Where that directory is not writable the library is built in a private
 temporary directory, loaded, and removed.  A build that fails raises
 :class:`KernelUnavailable`.  Calls go through :mod:`ctypes`, which
-releases the interpreter lock for their duration, so lane batches on
-worker threads run in parallel.
+releases the interpreter lock for their duration, so lane batches and
+their draws on worker threads run in parallel.
 """
 
 import ctypes
@@ -28,17 +29,20 @@ SOURCE = Path(__file__).with_name("_lanes.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _I64, _F64, _INT, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_int, ctypes.c_void_p
-_SIGNATURES = {
+_SIGNATURES = {  # name: (return type, argument types)
     # n, step, N, h, sq, L, track_occ, bridge, then 3 draw, 10 state and
     # 2 record buffers
-    "is_step": [_I64, _I64, _F64, _F64, _F64, _F64, _INT, _INT] + [_PTR] * 15,
+    "is_step": (_I64, [_I64, _I64, _F64, _F64, _F64, _F64, _INT, _INT] + [_PTR] * 15),
     # n, step, N, h, sq, a_coef, L, track_occ, bridge, then 2 draw and 6
     # state buffers
-    "rej_step": [_I64, _I64, _F64, _F64, _F64, _F64, _F64, _INT, _INT] + [_PTR] * 8,
+    "rej_step": (_I64, [_I64, _I64, _F64, _F64, _F64, _F64, _F64, _INT, _INT] + [_PTR] * 8),
+    # a numpy bitgen_t, n, then the output buffer
+    "normal_fill": (None, [_PTR, _I64, _PTR]),
 }
 
 _lock = threading.Lock()
 _lib = None
+_NO_BYTES = ctypes.c_char * 0
 
 
 def _compile(source, target):
@@ -99,13 +103,21 @@ def _load():
 
 
 def kernels():
-    """The compiled library, with ``is_step`` and ``rej_step`` typed."""
+    """The compiled library, with ``is_step``, ``rej_step`` and
+    ``normal_fill`` typed."""
     global _lib
-    with _lock:
-        if _lib is None:
-            lib = _load()
-            for name, argtypes in _SIGNATURES.items():
-                fn = getattr(lib, name)
-                fn.argtypes, fn.restype = argtypes, _I64
-            _lib = lib
-        return _lib
+    if _lib is None:  # the lock is taken only while the library is unbuilt
+        with _lock:
+            if _lib is None:
+                lib = _load()
+                for name, (restype, argtypes) in _SIGNATURES.items():
+                    fn = getattr(lib, name)
+                    fn.argtypes, fn.restype = argtypes, restype
+                _lib = lib
+    return _lib
+
+
+def address(a):
+    """Address of the data of ``a``, a writable contiguous array, handed to
+    a compiled call (None for no array); cheaper than ``a.ctypes.data``."""
+    return None if a is None else ctypes.addressof(_NO_BYTES.from_buffer(a))

@@ -290,7 +290,8 @@ def compensator(path: JumpPath, g: IntensityFn, t: float,
     between jumps); adaptive quadrature on each constancy interval
     otherwise.
     """
-    if t < 0.0 or t > path.horizon + 1e-12:
+    # chained, so that a NaN t fails it too
+    if not 0.0 <= t <= path.horizon + 1e-12:
         raise InvalidArgument("t outside [0, horizon]")
     times = path.jump_times
     k = int(np.searchsorted(times, t, side="right"))

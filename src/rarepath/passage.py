@@ -250,8 +250,9 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
     rec = [] if record else None
     xn = np.empty(lanes) if record else None
     stopped = np.empty(lanes, dtype=np.int64) if record else None
-    buffers = [_address(a) for a in (ids, b, x, int_sq, occ, t0, logw,
-                                     last_cell, xi, occ_xi, xn, stopped)]
+    address = _native.address
+    buffers = [address(a) for a in (ids, b, x, int_sq, occ, t0, logw,
+                                    last_cell, xi, occ_xi, xn, stopped)]
     n = lanes
     steps_done = 0
     step = 0
@@ -264,7 +265,7 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
         u1 = _draws(gen.random(n), (n,)) if bridge else None
         steps_done += n
         alive = is_step(n, step, N, h, sq, L, track_occ, bridge,
-                        _address(z), _address(u0), _address(u1), *buffers)
+                        address(z), address(u0), address(u1), *buffers)
         if record:
             rec.append([xn[:n].copy(), stopped[:n - alive].copy() if alive < n else None])
         n = alive
@@ -281,11 +282,6 @@ def _draws(a, shape):
     if a.shape != shape:
         raise InvalidArgument(f"draws of shape {a.shape}, expected {shape}")
     return a
-
-
-def _address(a):
-    """Buffer address handed to the compiled steps; None for no buffer."""
-    return None if a is None else a.ctypes.data
 
 
 def _replay_excursions(rec, level, h, cell, xi):
@@ -341,7 +337,8 @@ def _rej_batch(gen, lanes, level, h, occ_level, detection, max_steps):
     ids = np.arange(lanes, dtype=np.int64)
     x = np.ones(lanes)
     occ = np.zeros(lanes)
-    buffers = [_address(a) for a in (ids, x, occ, dur, hit_up, occ_out)]
+    address = _native.address
+    buffers = [address(a) for a in (ids, x, occ, dur, hit_up, occ_out)]
     n = lanes
     steps_done = 0
     step = 0
@@ -353,7 +350,7 @@ def _rej_batch(gen, lanes, level, h, occ_level, detection, max_steps):
         u = _draws(gen.random(n), (n,)) if bridge else None
         steps_done += n
         n = rej_step(n, step, N, h, sq, a_coef, L, track_occ, bridge,
-                     _address(z), _address(u), *buffers)
+                     address(z), address(u), *buffers)
     return hit_up, dur, occ_out, steps_done
 
 

@@ -59,7 +59,6 @@ HORIZON_CAP = 1.0e6
 class Hit(enum.Enum):
     LOWER = "lower"
     UPPER = "upper"
-    EXPIRED = "expired"
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,10 @@ def simulate_brownian(stream: RngStream, dim: int, step: float,
     # chained, so that a NaN or an infinite step or horizon fails it too
     if not 0.0 < step <= horizon < math.inf:
         raise InvalidArgument("need 0 < step <= horizon < inf")
-    n_steps = int(math.floor(horizon / step + 1e-9))
+    steps = horizon / step
+    if not math.isfinite(steps):
+        raise InvalidArgument("horizon / step overflows")
+    n_steps = int(math.floor(steps + 1e-9))
     gen = stream.generator()
     if dim == 1:
         inc = gen.standard_normal(n_steps) * math.sqrt(step)

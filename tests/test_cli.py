@@ -278,14 +278,19 @@ def test_cli_start_up_leaves_the_kernel_unbuilt():
     assert out.stdout.splitlines()[-1] == "True"
 
 
-def test_kernel_build_failure_exits_3(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["ou-estimate", "--N", "2", "--replicas", "10", "--step", "0.01"],
+    # these draw normals only: the compiled library holds the sampler too
+    ["tightness", "--family", "bounded-drift", "--replicas", "10"],
+    ["measure-check", "--replicas", "10"],
+], ids=lambda argv: argv[0])
+def test_kernel_build_failure_exits_3(argv, monkeypatch, tmp_path, capsys):
     from rarepath import _native
     # a flag the compiler rejects; it also changes the cache key, so the
     # library is compiled anew rather than taken from the cache
     monkeypatch.setattr(_native, "FLAGS", _native.FLAGS + ("--no-such-flag",))
     monkeypatch.setattr(_native, "_lib", None)
-    rc = _run(["ou-estimate", "--N", "2", "--replicas", "10", "--step", "0.01",
-               "--seed", "1", "--out", str(tmp_path / "x.csv")])
+    rc = _run([*argv, "--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: code=kernel-unavailable msg=")

@@ -148,6 +148,15 @@ def test_compensator_deterministic_quadrature():
     assert compensator(p, g, 1.5) == pytest.approx(1.5 ** 3 / 3.0, abs=1e-7)
 
 
+def test_compensator_rejects_t_outside_the_horizon():
+    p = JumpPath(x0=[0.0], jump_times=[0.5], marks=[[1.0]], horizon=2.0)
+    for g in (IntensityFn.state_dependent(lambda y: 1.0),
+              IntensityFn.deterministic(lambda t: 1.0)):
+        for t in (-0.1, 2.1, math.nan, math.inf):
+            with pytest.raises(InvalidArgument):
+                compensator(p, g, t)
+
+
 def test_compensated_count_is_centered():
     # N(t) - Psi(t) should average zero over replicas of the clock-change
     # construction with a state-dependent rate

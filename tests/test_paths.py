@@ -50,8 +50,9 @@ def test_brownian_invalid_args():
         simulate_brownian(RngStream(1), dim=1, step=-0.1, horizon=1.0)
     with pytest.raises(InvalidArgument):
         simulate_brownian(RngStream(1), dim=1, step=1.0, horizon=0.5)
+    # the last pair is finite, but horizon / step overflows
     for step, horizon in [(math.nan, 1.0), (0.1, math.nan), (0.1, math.inf),
-                          (math.inf, math.inf)]:
+                          (math.inf, math.inf), (1e-300, 1e10)]:
         with pytest.raises(InvalidArgument):
             simulate_brownian(RngStream(1), dim=1, step=step, horizon=horizon)
 

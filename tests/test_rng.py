@@ -39,6 +39,45 @@ def test_negative_stream_id_rejected():
         RngStream(1, -1)
 
 
+def _same_state(p, q):
+    if isinstance(p, dict):
+        return p.keys() == q.keys() and all(_same_state(p[k], q[k]) for k in p)
+    return np.array_equal(p, q)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_normals_are_numpys_bit_for_bit(seed):
+    # the compiled sampler against numpy's own on the same Philox stream
+    tails = 0
+    for words in range(4):
+        for shape in [0, 1, (1, 3), (7, 3), 2**21]:
+            ours = RngStream(seed, 2).generator(5)
+            theirs = np.random.Generator(RngStream(seed, 2).bit_generator(5))
+            assert np.array_equal(ours.random(words), theirs.random(words))
+            a, b = ours.standard_normal(shape), theirs.standard_normal(shape)
+            assert type(a) is np.ndarray and a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+            assert _same_state(ours.bit_generator.state, theirs.bit_generator.state)
+            assert np.array_equal(ours.standard_normal(9), theirs.standard_normal(9))
+            assert np.array_equal(ours.random(2), theirs.random(2))
+            if shape == 2**21:
+                # only the ziggurat's tail path makes these
+                tails += np.count_nonzero(np.abs(a) > 3.6541528853610088)
+    assert tails > 0
+    # numpy's own forms
+    ours = RngStream(seed).generator()
+    theirs = np.random.Generator(RngStream(seed).bit_generator())
+    assert ours.standard_normal() == theirs.standard_normal()
+    a = ours.standard_normal((4, 2), dtype=np.float32)
+    b = theirs.standard_normal((4, 2), dtype=np.float32)
+    assert a.dtype == np.float32 and np.array_equal(a, b)
+    buf_a, buf_b = np.empty(6), np.empty(6)
+    assert ours.standard_normal(out=buf_a) is buf_a
+    theirs.standard_normal(out=buf_b)
+    assert np.array_equal(buf_a, buf_b)
+    assert _same_state(ours.bit_generator.state, theirs.bit_generator.state)
+
+
 def _walk(stream, m, steps=6):
     # a toy lane simulation: every lane reads only its own rows
     gen = stream.generator()
