@@ -15,7 +15,7 @@ jumps        compound Poisson simulation (time change, thinning), compensators
 densities    log-space density accumulators and the weighted estimator
 lattice      nearest-neighbour walks, conditioned kernels, reversal, oracles
 passage      one engine per passage law: estimator, rejection oracle, scaling
-_native      builds and loads the compiled passage lane steps (_lanes.c)
+_native      builds and loads the compiled lane steps and sampler (_lanes.c)
 diagnostics  reweighted tail profiles, stopped tails, unit-mean checks
 cli          the ``rarepath`` command
 """

@@ -1,16 +1,16 @@
-/* One engine step of each passage lane engine (see passage.py), and
- * numpy's standard normal sampler behind every normal draw (normal_fill,
- * at the end; see rng.py).
+/* One step of each passage lane engine (see passage.py) and of the
+ * inverse-Bessel family (family_step; diagnostics.py) on the package's one
+ * bridge coin (coin), and numpy's standard normal sampler (normal_fill).
  *
- * Each step function takes the step's draws, advances every alive lane, writes
+ * Each engine step takes the step's draws, advances every alive lane, writes
  * the results of the lanes that stop by lane id, and compacts the alive
  * state in place, in lane order.  It returns the number of lanes still
- * alive.  Nothing is allocated, so the caller may run it without the
+ * alive.  No step allocates, so the caller may run it without the
  * interpreter lock.  A lane's last visit of 1, and its occupation up to
  * that visit, are evaluated where its crossing of 1 is recorded, so a
  * lane's results are final when it stops.
  *
- * The arithmetic repeats the numpy operations the engines were first
+ * The arithmetic repeats the numpy operations the steps were first
  * written with, in the same order, so every output is bit-identical to
  * theirs; build with -ffp-contract=off so that no product is fused into
  * an addition.
@@ -211,6 +211,28 @@ int64_t rej_step(int64_t n, int64_t step, double N, double h, double sq,
         k++;
     }
     return k;
+}
+
+/* One inverse-Bessel family step: each lane's 3-d position moves by z*sq,
+ * and its member m freezes for good where the new radius r <= eps[m] or the
+ * coin on d (set to r - eps[m]) and u fires; d, frozen are (members, size) */
+void family_step(int64_t members, int64_t size, double h, double sq,
+                 const double *eps, const double *z, const double *u,
+                 double *pos, double *d, uint8_t *frozen)
+{
+    for (int64_t i = 0; i < size; i++) {
+        double *x = pos + 3 * i;
+        for (int c = 0; c < 3; c++)
+            x[c] += z[3 * i + c] * sq;
+        double r = sqrt((x[0] * x[0] + x[2] * x[2]) + x[1] * x[1]);
+        for (int64_t m = 0; m < members; m++) {
+            int64_t j = m * size + i;
+            double dn = r - eps[m];
+            if (!frozen[j])
+                frozen[j] = r <= eps[m] || coin(d[j], dn, h, SKIP * h, u[i]);
+            d[j] = dn;
+        }
+    }
 }
 
 /* numpy's standard normal: normal_fill(bitgen, n, out) writes to out the n

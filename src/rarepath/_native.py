@@ -1,5 +1,5 @@
-"""Build and load ``_lanes.c``: the passage lane steps and numpy's
-standard normal sampler, which ``rng`` draws every array of normals with.
+"""Build and load ``_lanes.c``: the passage and inverse-Bessel lane steps,
+and numpy's standard normal sampler that ``rng`` draws all normals with.
 
 The source is compiled with the system C compiler (``cc``) on first use
 and cached in the package's ``__pycache__`` directory, under a name keyed
@@ -21,7 +21,9 @@ import tempfile
 import threading
 from pathlib import Path
 
-from .errors import KernelUnavailable
+import numpy as np
+
+from .errors import InvalidArgument, KernelUnavailable
 
 SOURCE = Path(__file__).with_name("_lanes.c")
 # no -ffast-math or -march=native, which may reorder or fuse operations:
@@ -36,6 +38,8 @@ _SIGNATURES = {  # name: (return type, argument types)
     # n, step, N, h, sq, a_coef, L, track_occ, bridge, then 2 draw and 6
     # state buffers
     "rej_step": (_I64, [_I64, _I64, _F64, _F64, _F64, _F64, _F64, _INT, _INT] + [_PTR] * 8),
+    # members, size, h, sq, then eps, 2 draw and 3 state buffers
+    "family_step": (None, [_I64, _I64, _F64, _F64] + [_PTR] * 6),
     # a numpy bitgen_t, n, then the output buffer
     "normal_fill": (None, [_PTR, _I64, _PTR]),
 }
@@ -103,8 +107,8 @@ def _load():
 
 
 def kernels():
-    """The compiled library, with ``is_step``, ``rej_step`` and
-    ``normal_fill`` typed."""
+    """The compiled library, with ``is_step``, ``rej_step``,
+    ``family_step`` and ``normal_fill`` typed."""
     global _lib
     if _lib is None:  # the lock is taken only while the library is unbuilt
         with _lock:
@@ -121,3 +125,11 @@ def address(a):
     """Address of the data of ``a``, a writable contiguous array, handed to
     a compiled call (None for no array); cheaper than ``a.ctypes.data``."""
     return None if a is None else ctypes.addressof(_NO_BYTES.from_buffer(a))
+
+
+def draws(a, shape):
+    """A step's draws as a contiguous float64 array of ``shape``."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.shape != shape:
+        raise InvalidArgument(f"draws of shape {a.shape}, expected {shape}")
+    return a

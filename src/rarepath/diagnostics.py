@@ -24,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidArgument
-from .paths import bridge_touch_probability
 from .rng import RngStream, map_lanes
 
 __all__ = [
@@ -114,6 +113,14 @@ def _check(a, shape, name, upper=math.inf):
     if not np.all((a >= 0.0) & (a <= upper) & (a < math.inf)):
         bounds = "nonnegative" if upper == math.inf else f"in [0, {upper:g}]"
         raise InvalidArgument(f"family {name} must be finite and {bounds}")
+
+
+def _members(n_grid):
+    """``n_grid`` as a tuple, every member finite and positive."""
+    n_grid = tuple(n_grid)
+    if not all(0.0 < n < math.inf for n in n_grid):
+        raise InvalidArgument("members must be finite and positive")
+    return n_grid
 
 
 def _joined(parts):
@@ -266,7 +273,7 @@ def clamped_drift_family(mu: Callable, step: float, dim: int = 1,
     """
     if not 0.0 < step < math.inf:
         raise InvalidArgument("step must be finite and positive")
-    n_grid = tuple(n_grid)
+    n_grid = _members(n_grid)
     members = np.array(n_grid, dtype=float)
     bound = members[:, None, None]
     log_n = np.log(np.maximum(members, 1.0))[:, None]
@@ -308,34 +315,35 @@ def inverse_bessel_family(step: float, n_grid=(8, 16, 32),
     The raw process is a strict local martingale (its mean decays below
     one), so tails of the stopped members never vanish; member ``n``
     freezes the value at ``n`` the first time the distance drops to
-    ``1/n``, sub-step dips included by bridge coins (grid detection alone
-    misses most of the stopped mass at practical steps).  The draw
-    exposes the raw time-``t`` value as the limit process.
+    ``1/n``, sub-step dips included by the compiled ``family_step``'s bridge
+    coins (grid detection alone misses most of the stopped mass at
+    practical steps).  The draw exposes the raw time-``t`` value as the
+    limit process.
     """
     if not 0.0 < step < math.inf:
         raise InvalidArgument("step must be finite and positive")
-    n_grid = tuple(n_grid)
+    n_grid = _members(n_grid)
     members = np.array(n_grid, dtype=float)
-    eps = 1.0 / members[:, None]
+    eps = 1.0 / members
 
     def simulate_multi(stream: RngStream, t: float, size: int):
+        from . import _native  # on first use: start-up builds and loads nothing
+        lib, address, draws = _native.kernels(), _native.address, _native.draws
         gen = stream.generator()
         steps = max(int(round(t / step)), 1)
         sq = math.sqrt(step)
         pos = np.zeros((size, 3))
         pos[:, 0] = 1.0
-        # distances r - 1/n to the barriers before and after a step, in two
-        # buffers: fresh (members, size) arrays each step fault pages in
-        d, dn = np.repeat(1.0 - eps, size, axis=1), np.empty((len(n_grid), size))
+        # each member's distance r - 1/n to its barrier, updated every step
+        d = np.repeat(1.0 - eps[:, None], size, axis=1)
         frozen = np.zeros((len(n_grid), size), dtype=bool)
-        for k in range(steps):
-            pos += sq * gen.standard_normal((size, 3))
-            u = gen.random(size)
-            r = np.sqrt(np.einsum("ij,ij->i", pos, pos))
-            np.subtract(r, eps, out=dn)
-            frozen |= r <= eps
-            frozen |= u < bridge_touch_probability(d, dn, step, u)
-            d, dn = dn, d
+        state = [address(a) for a in (pos, d, frozen)]
+        for _ in range(steps):
+            z = draws(gen.standard_normal((size, 3)), (size, 3))
+            u = draws(gen.random(size), (size,))
+            lib.family_step(len(n_grid), size, step, sq, address(eps), address(z),
+                            address(u), *state)
+        r = np.sqrt(np.einsum("ij,ij->i", pos, pos))
         raw = 1.0 / np.maximum(r, 1e-300)
         return FamilyDraw(values=np.where(frozen, members[:, None], raw),
                           stopped=frozen, limit_values=raw)
@@ -348,7 +356,7 @@ def inverse_bessel_family(step: float, n_grid=(8, 16, 32),
 def constant_family(n_grid=(1, 2, 4), t_grid=(1.0,)) -> MartingaleFamily:
     """The constant density one, with the deterministic stopping time
     ``tau_n = n``; the simplest positive control."""
-    n_grid = tuple(n_grid)
+    n_grid = _members(n_grid)
 
     def simulate_multi(stream: RngStream, t: float, size: int):
         ones = np.ones((len(n_grid), size))

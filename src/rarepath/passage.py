@@ -95,8 +95,8 @@ class PathFunctional:
     @staticmethod
     def occupation_above(level: float, cap: float) -> "PathFunctional":
         """min(time spent above ``level``, cap), straddle-cell convention."""
-        if not cap > 0.0:
-            raise InvalidArgument("cap must be positive")
+        if not (cap > 0.0 and math.isfinite(level)):
+            raise InvalidArgument("cap must be positive and level finite")
         return PathFunctional("occupation-above", cap=float(cap), level=float(level))
 
     @staticmethod
@@ -250,7 +250,7 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
     rec = [] if record else None
     xn = np.empty(lanes) if record else None
     stopped = np.empty(lanes, dtype=np.int64) if record else None
-    address = _native.address
+    address, draws = _native.address, _native.draws
     buffers = [address(a) for a in (ids, b, x, int_sq, occ, t0, logw,
                                     last_cell, xi, occ_xi, xn, stopped)]
     n = lanes
@@ -260,9 +260,9 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
         step += 1
         if step > max_steps:
             raise HorizonExpiredError("lane exceeded the horizon cap")
-        z = _draws(gen.standard_normal((n, 3)), (n, 3))
-        u0 = _draws(gen.random(n), (n,)) if bridge else None
-        u1 = _draws(gen.random(n), (n,)) if bridge else None
+        z = draws(gen.standard_normal((n, 3)), (n, 3))
+        u0 = draws(gen.random(n), (n,)) if bridge else None
+        u1 = draws(gen.random(n), (n,)) if bridge else None
         steps_done += n
         alive = is_step(n, step, N, h, sq, L, track_occ, bridge,
                         address(z), address(u0), address(u1), *buffers)
@@ -274,14 +274,6 @@ def _is_batch(gen, lanes, level, h, occ_level, detection, max_steps,
         return (xi, t0, occ_xi, logw, steps_done,
                 _replay_excursions(rec, N, h, last_cell, xi))
     return xi, t0, occ_xi, logw, steps_done
-
-
-def _draws(a, shape):
-    """A step's draws as a contiguous float64 array of ``shape``."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.shape != shape:
-        raise InvalidArgument(f"draws of shape {a.shape}, expected {shape}")
-    return a
 
 
 def _replay_excursions(rec, level, h, cell, xi):
@@ -337,7 +329,7 @@ def _rej_batch(gen, lanes, level, h, occ_level, detection, max_steps):
     ids = np.arange(lanes, dtype=np.int64)
     x = np.ones(lanes)
     occ = np.zeros(lanes)
-    address = _native.address
+    address, draws = _native.address, _native.draws
     buffers = [address(a) for a in (ids, x, occ, dur, hit_up, occ_out)]
     n = lanes
     steps_done = 0
@@ -346,8 +338,8 @@ def _rej_batch(gen, lanes, level, h, occ_level, detection, max_steps):
         step += 1
         if step > max_steps:
             raise HorizonExpiredError("lane exceeded the horizon cap")
-        z = _draws(gen.standard_normal(n), (n,))
-        u = _draws(gen.random(n), (n,)) if bridge else None
+        z = draws(gen.standard_normal(n), (n,))
+        u = draws(gen.random(n), (n,)) if bridge else None
         steps_done += n
         n = rej_step(n, step, N, h, sq, a_coef, L, track_occ, bridge,
                      address(z), address(u), *buffers)

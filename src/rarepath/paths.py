@@ -17,15 +17,13 @@ point at or past a barrier; sub-grid excursions across a barrier are
 missed, which biases hitting probabilities by O(sqrt(step)).
 ``"bridge"`` additionally flips, per step, a coin with the Brownian-bridge
 probability ``exp(-2*d_before*d_after/step)`` that the barrier was touched
-inside the step, which reduces the detection bias to O(step).  Two
-primitives carry this rule: :func:`bridge_touch_probability` gives the
-coin's probability and :func:`crossing_fraction` places the crossing
-inside its step, by linear interpolation for a grid stop and at mid-step
-for a coin stop.  They serve :func:`reversed_last_excursion` and the
-inverse-Bessel family; the passage engines take both rules only from
-their compiled step (``_lanes.c``), which states them bit for bit.  A
-grid stop keeps its overshoot value; a coin stop snaps the final path
-value to the barrier.
+inside the step, which reduces the detection bias to O(step).  The coin is
+stated once, in ``_lanes.c``, for the passage engines and the
+inverse-Bessel family.  :func:`crossing_fraction` places a crossing inside
+its step, by linear interpolation for a grid stop and at mid-step for a
+coin stop, for :func:`reversed_last_excursion` (the passage step states it
+in C, bit for bit).  A grid stop keeps its overshoot value; a coin stop
+snaps the final value to the barrier.
 """
 
 import enum
@@ -42,7 +40,6 @@ __all__ = [
     "ContinuousPath",
     "StoppedSegment",
     "ReversedExcursion",
-    "bridge_touch_probability",
     "crossing_fraction",
     "simulate_brownian",
     "reversed_last_excursion",
@@ -134,26 +131,6 @@ class ReversedExcursion:
 
 # ---------------------------------------------------------------------------
 # simulators
-
-
-def bridge_touch_probability(d_a, d_b, step, draws):
-    """Probability that a Brownian bridge over one step touches a barrier.
-
-    ``d_a`` and ``d_b`` (arrays) are the signed distances to the barrier
-    at the start and end of the step, positive on the side the path came
-    from; the result is ``exp(-2*d_a*d_b/step)``, and exactly 1 where
-    ``d_a*d_b <= 0``.  ``draws`` are the uniforms the result is compared
-    with.  Unless one of them is exactly 0.0 the exponent is clipped at
-    -700, which keeps exp off its slow path near underflow and changes no
-    comparison ``draw < p`` or ``draw < p + q``: nonzero draws lie in
-    [2**-53, 1), exp(-700) is below them and is absorbed in any sum that
-    can reach one.
-    """
-    arg = d_a * -2.0
-    arg *= d_b
-    arg /= step
-    np.clip(arg, -700.0 if draws.all() else -np.inf, 0.0, out=arg)
-    return np.exp(arg, out=arg)
 
 
 def crossing_fraction(a, b, barrier, grid):

@@ -295,14 +295,3 @@ class RngStream:
             self.master_seed, spawn_key=(self.stream_id, *sub)
         )
         return np.random.Philox(seq)
-
-    def substream(self, index: int) -> "RngStream":
-        """Stream for work unit ``index`` under the same master seed.
-
-        Only valid on a root stream (``stream_id == 0``); nested
-        derivation should use ``generator(*sub)`` instead so that
-        addresses never collide.
-        """
-        if self.stream_id != 0:
-            raise ValueError("substream() is reserved for root streams")
-        return RngStream(self.master_seed, index)

@@ -342,6 +342,10 @@ _BAD_VALUES = {
     "tightness-t-inf": ["tightness", "--family", "constant", "--t", "inf"],
     "tightness-step-inf": ["tightness", "--family", "inverse-bessel", "--step", "inf"],
     "tightness-no-members": ["tightness", "--family", "constant", "--n-grid", ""],
+    "tightness-member-0": ["tightness", "--family", "inverse-bessel", "--n-grid", "0,8"],
+    "tightness-member-negative": ["tightness", "--family", "bounded-drift",
+                                  "--n-grid=-1,2"],
+    "tightness-member-0-constant": ["tightness", "--family", "constant", "--n-grid", "0"],
     "tightness-kappa-not-float": ["tightness", "--family", "constant",
                                   "--kappas", "2,x"],
     "tightness-kappa-nan": ["tightness", "--family", "constant", "--kappas", "2,nan"],
@@ -389,12 +393,17 @@ def test_bad_step_or_workers_exits_2(case, tmp_path, capsys):
      "--bound", "nan"],
     ["cpp-simulate", "--method", "time-change", "--intensity", "const:inf"],
     ["cpp-simulate", "--intensity", "affine:nan:1"],
+    ["ou-estimate", "--N", "2", "--replicas", "10", "--step", "0.01",
+     "--functional", "occupation-above:nan:50"],
+    ["ou-oracle", "--N", "2", "--replicas", "10", "--step", "0.01",
+     "--functional", "occupation-above:inf:50"],
 ], ids=["mark-gauss-short", "mark-not-float", "intensity-affine-short",
         "intensity-not-float", "affine-on-2d-mark", "samples-0", "step-nan",
         "step-inf", "cap-nan", "mark-sd-nan", "horizon-nan", "horizon-inf",
         "x0-nan", "x0-inf", "x0-minus-inf", "thinning-x0-nan",
         "thinning-const-nan", "thinning-const-inf", "thinning-bound-inf",
-        "thinning-bound-nan", "time-change-const-inf", "affine-coefficient-nan"])
+        "thinning-bound-nan", "time-change-const-inf", "affine-coefficient-nan",
+        "occupation-level-nan", "oracle-occupation-level-inf"])
 def test_malformed_spec_or_value_exits_2(argv, tmp_path, capsys):
     rc = _run(argv + ["--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2

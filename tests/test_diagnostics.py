@@ -225,6 +225,19 @@ def test_family_step_must_be_finite_and_positive(make):
             make(step)
 
 
+@pytest.mark.parametrize("make", [
+    lambda n_grid: clamped_drift_family(lambda t, w, ws: 0.0 * w, step=0.25,
+                                        n_grid=n_grid),
+    lambda n_grid: inverse_bessel_family(step=0.25, n_grid=n_grid),
+    lambda n_grid: constant_family(n_grid=n_grid),
+], ids=["clamped-drift", "inverse-bessel", "constant"])
+@pytest.mark.parametrize("member", [0, -1, math.nan, math.inf],
+                         ids=["0", "negative", "nan", "inf"])
+def test_family_members_must_be_finite_and_positive(make, member):
+    with pytest.raises(InvalidArgument):
+        make((member, 8))
+
+
 # sha256 pins of every tightness statistic: profile entries and verdict,
 # the stopped tails, and unity_check in both the "auto" and the "member"
 # mode, each as the repr of its (key, value) pairs, so every float is

@@ -33,6 +33,12 @@ def test_functional_factories_and_validation():
     assert f.evaluate(_synthetic_excursion(), 1.3) == 1.0
 
 
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_occupation_level_must_be_finite(level):
+    with pytest.raises(InvalidArgument):
+        PathFunctional.occupation_above(level, 50.0)
+
+
 def test_functional_capped_duration():
     f = PathFunctional.capped_duration(1.0)
     assert f.evaluate(_synthetic_excursion(), 1.3) == 1.0

@@ -3,16 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
 from rarepath import (ContinuousPath, Hit, InvalidArgument, LevelNeverReached,
-                      RngStream, ou_scale_ratio, path_integral_square,
+                      RngStream, _native, ou_scale_ratio, path_integral_square,
                       reversed_last_excursion, simulate_brownian)
 from rarepath.paths import (_SCALE_LOG_AT_INT, StoppedSegment, _scale_log,
-                            bridge_touch_probability, crossing_fraction,
-                            ou_scale_ratio_log)
+                            crossing_fraction, ou_scale_ratio_log)
 
 # frozen by independent quadrature of the chi density with 3 degrees of
 # freedom: mean = 2*sqrt(2/pi)
@@ -209,28 +208,44 @@ def test_continuous_path_validation():
 _distance = st.floats(min_value=-50.0, max_value=50.0)
 
 
-@given(_distance, _distance, _distance, _distance,
-       st.floats(min_value=1e-5, max_value=1.0),
-       st.floats(min_value=2.0 ** -53, max_value=1.0, exclude_max=True))
-@settings(max_examples=300, deadline=None)
-def test_bridge_touch_probability_properties(da, db, dc, dd, step, u):
-    def touch(a, b, draw):
-        return bridge_touch_probability(np.array([a]), np.array([b]), step,
-                                        np.array([draw]))[0]
+# every value Generator.random can draw: multiples of 2**-53 in [0, 1)
+_uniform = st.integers(min_value=0, max_value=2 ** 53 - 1).map(lambda k: k * 2.0 ** -53)
 
-    p, q = touch(da, db, u), touch(dc, dd, u)
-    assert p == touch(db, da, u)
-    if da * db <= 0.0:
-        assert p == 1.0 and touch(da, db, 0.0) == 1.0
-    with np.errstate(over="ignore"):
-        p_ref = np.exp(-2.0 * da * db / step)
-        q_ref = np.exp(-2.0 * dc * dd / step)
-    # the clip at -700 changes no comparison with a nonzero draw, alone or
-    # in the shared-uniform sum of the two-barrier coin
-    assert (u < p) == (u < p_ref)
-    assert (u < p + q) == (u < p_ref + q_ref)
-    if da * db > 0.0:
-        assert touch(da, db, 0.0) == p_ref  # a zero draw turns the clip off
+
+def _family_coin(d_a, r, eps, step, u):
+    """``frozen`` and the new distance after one compiled ``family_step`` of
+    one lane and one member, not frozen before, whose position stays at
+    radius ``r`` (z = 0) and whose distance to ``eps`` was ``d_a``."""
+    pos = np.array([r, 0.0, 0.0])
+    d, frozen = np.array([d_a]), np.zeros(1, dtype=bool)
+    buffers = (np.array([eps]), np.zeros(3), np.array([u]), pos, d, frozen)
+    _native.kernels().family_step(1, 1, step, math.sqrt(step),
+                                  *map(_native.address, buffers))
+    assert pos.tolist() == [r, 0.0, 0.0]
+    return bool(frozen[0]), float(d[0])
+
+
+@given(_distance, st.floats(min_value=0.0, max_value=50.0),
+       st.floats(min_value=1e-3, max_value=1.0),
+       st.floats(min_value=1e-5, max_value=1.0), _uniform)
+# a zero draw against exponents -720 (exp subnormal), -745 (exp the least
+# subnormal) and -746 and -800 (exp underflows to 0)
+@example(1.0, 360.5, 0.5, 1.0, 0.0)
+@example(1.0, 373.0, 0.5, 1.0, 0.0)
+@example(1.0, 373.5, 0.5, 1.0, 0.0)
+@example(1.0, 400.5, 0.5, 1.0, 0.0)
+@example(1.0, 360.5, 0.5, 1.0, 2.0 ** -53)
+# on the barrier and inside it, against the largest draw
+@example(0.25, 0.5, 0.5, 1e-3, 1.0 - 2.0 ** -53)
+@example(0.25, 0.25, 0.5, 1e-3, 1.0 - 2.0 ** -53)
+@settings(max_examples=300, deadline=None)
+def test_family_step_bridge_coin(d_a, r, eps, step, u):
+    frozen, d_b = _family_coin(d_a, r, eps, step, u)
+    assert d_b == math.sqrt(r * r) - eps
+    if d_b <= 0.0 or d_a * d_b <= 0.0:
+        assert frozen
+    else:
+        assert frozen == (u < math.exp(-2.0 * d_a * d_b / step))
 
 
 def _fraction(a, b, barrier, grid=True):

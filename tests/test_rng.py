@@ -28,12 +28,6 @@ def test_nested_substreams_differ_from_root():
     assert not np.array_equal(b, c)
 
 
-def test_substream_reserved_for_roots():
-    assert RngStream(5).substream(3) == RngStream(5, 3)
-    with pytest.raises(ValueError):
-        RngStream(5, 1).substream(2)
-
-
 def test_negative_stream_id_rejected():
     with pytest.raises(ValueError):
         RngStream(1, -1)
