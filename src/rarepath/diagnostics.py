@@ -68,8 +68,10 @@ class MartingaleFamily:
     lanes must be independent, with ``stream.generator()`` drawn only by
     ``standard_normal`` and ``random`` with the lanes on the first axis,
     in calls that do not depend on the lane count: the profile may run a
-    chunk's lanes in ranges on several threads
-    (:func:`~rarepath.rng.map_lanes`).
+    chunk's lanes in ranges on several threads that share each whole draw
+    (:func:`~rarepath.rng.map_lanes`).  Those are the two methods a lane
+    range offers; since the generator itself makes each whole draw, any
+    other method would be one more line there.
     """
 
     description: str
@@ -140,8 +142,8 @@ def _column_stats(family, replicas, seed, columns, workers=1) -> dict:
     columns that ``columns(draw)`` yields from each stacked draw, one at a
     time so that only one is held.  Chunk ``b`` of time ``t_grid[ci]``
     runs on substream ``(ci << 20) | b``, its lanes split over up to
-    ``workers`` threads that each make their rows of the chunk's one
-    stream (the draw is the same at any worker count).  Each row is reduced on
+    ``workers`` threads that each read their rows of the chunk's whole
+    draws (the draw is the same at any worker count).  Each row is reduced on
     its own, by ``.sum(axis=-1)`` and ``einsum`` (a fixed summation order
     that no BLAS thread count changes).  Values must be finite and
     nonnegative."""
@@ -185,8 +187,8 @@ def q_tail_profile(family: MartingaleFamily, kappa_grid, replicas: int,
     Anything else is inconclusive.
     """
     kappas = [float(k) for k in kappa_grid]
-    if not kappas or any(not k > 0 for k in kappas) or sorted(kappas) != kappas:
-        raise InvalidArgument("kappa_grid must be positive and increasing")
+    if not kappas or any(not 0.0 < k < math.inf for k in kappas) or sorted(kappas) != kappas:
+        raise InvalidArgument("kappa_grid must be finite, positive and increasing")
     if not 0.0 < floor_threshold < math.inf:
         raise InvalidArgument("floor_threshold must be finite and positive")
 

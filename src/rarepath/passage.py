@@ -88,15 +88,15 @@ class PathFunctional:
     @staticmethod
     def capped_duration(cap: float) -> "PathFunctional":
         """min(segment duration, cap)."""
-        if not cap > 0.0:
-            raise InvalidArgument("cap must be positive")
+        if not 0.0 < cap < math.inf:
+            raise InvalidArgument("cap must be finite and positive")
         return PathFunctional("capped-duration", cap=float(cap))
 
     @staticmethod
     def occupation_above(level: float, cap: float) -> "PathFunctional":
         """min(time spent above ``level``, cap), straddle-cell convention."""
-        if not (cap > 0.0 and math.isfinite(level)):
-            raise InvalidArgument("cap must be positive and level finite")
+        if not (0.0 < cap < math.inf and math.isfinite(level)):
+            raise InvalidArgument("cap must be finite and positive and level finite")
         return PathFunctional("occupation-above", cap=float(cap), level=float(level))
 
     @staticmethod
@@ -108,8 +108,8 @@ class PathFunctional:
     def custom(fn: Callable, cap: float) -> "PathFunctional":
         """``fn(excursion: ReversedExcursion, duration: float) -> float``,
         with ``|fn| <= cap`` enforced."""
-        if not cap > 0.0:
-            raise InvalidArgument("cap must be positive")
+        if not 0.0 < cap < math.inf:
+            raise InvalidArgument("cap must be finite and positive")
         return PathFunctional("custom", cap=float(cap), fn=fn)
 
     def evaluate(self, excursion: ReversedExcursion, duration: float) -> float:

@@ -1,6 +1,6 @@
 """Continuous sample paths: Brownian motion, stopped-path containers, path
-post-processing (last-passage extraction, time reversal, quadrature) and
-the OU scale function.
+post-processing (last-passage extraction, time reversal, quadrature), the
+OU scale function and the exact mean of the passage sampler's weight.
 
 :func:`simulate_brownian` is a pure function of an
 :class:`~rarepath.rng.RngStream` and its parameters: identical inputs give
@@ -46,6 +46,7 @@ __all__ = [
     "path_integral_square",
     "ou_scale_ratio",
     "ou_scale_ratio_log",
+    "ou_weight_mean",
     "HORIZON_CAP",
 ]
 
@@ -302,3 +303,24 @@ def ou_scale_ratio_log(x: float, big_level: float) -> float:
     if x == big_level:
         return 0.0
     return _scale_log(x) - _scale_log(big_level)
+
+
+def ou_weight_mean(level: float) -> float:
+    """Mean of the importance weight of the reversed-excursion sampler at
+    ``level``: exactly ``N / D(N)``, with ``D`` Dawson's integral.
+
+    The sampler runs ``X = N - |B|`` (``B`` a 3-d Brownian motion from the
+    origin) to its hit ``T`` of 0, with weight ``W = exp((N^2 + T -
+    int_0^T X^2 ds) / 2)``.  Read backwards from ``T``, ``X`` is the 3-d
+    Bessel process from 0 run to its hit of ``N``: the ``x -> 0`` limit of
+    Brownian motion from ``x`` conditioned to reach ``N`` before 0, an
+    event of probability ``x / N``.  Against that Brownian motion the OU
+    process has density ``exp(-(N^2 - x^2)/2 + (T - int X^2)/2)`` and
+    reaches ``N`` first with probability ``s(x) / s(N)``, where ``s(y) =
+    exp(y^2) D(y)`` and ``s(x) / x -> 1``; so ``E[W] = exp(N^2) N / s(N)``.
+    It checks the weight on its own, with no rejection sampler involved.
+    Integer levels up to 27 need no scipy.
+    """
+    if not 0.0 < level < math.inf:
+        raise InvalidArgument("need 0 < level < inf")
+    return level * math.exp(level * level - _scale_log(level))

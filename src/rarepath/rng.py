@@ -13,9 +13,9 @@ Every parallel engine runs through one driver here.  :func:`map_batches`
 runs work units on a thread pool and returns their parts in unit order:
 the passage engines split their lanes into batches by the total alone,
 each batch deriving its own stream.  :func:`map_lanes` splits one
-stream's lanes into ranges, each reading its own rows of every draw: the
-diagnostics families run so.  Either way every estimate is independent
-of the worker count.
+stream's lanes into ranges that share each of its draws, made whole once,
+each range reading its own rows: the diagnostics families run so.  Either
+way every estimate is independent of the worker count.
 """
 
 import threading
@@ -72,14 +72,16 @@ def map_lanes(run, stream, total, workers):
     ``m``.  Each range gets a stream whose generator returns that range's
     rows of the draws the whole ``run(stream, total)`` makes, so its lanes
     see the same numbers at any worker count and the parts, joined along
-    the lanes, are that call's output.  The ranges make their own rows of
-    every draw, at once (:class:`_SplitDraws`).
+    the lanes, are that call's output.  Each draw is made whole once, from
+    ``stream.generator()`` opened at the first draw, and shared by the
+    ranges (:class:`_SharedDraws`); ranges that draw differently raise
+    ``ValueError``.
     """
     k = max(1, min(workers, total))
     if k == 1:
         return [run(stream, total)]
     sizes = [total // k + (i < total % k) for i in range(k)]
-    draws = _SplitDraws(stream, sizes)
+    draws = _SharedDraws(stream, sizes)
     lanes = [_LaneRange(draws, j) for j in range(k)]
 
     def part(j):
@@ -112,114 +114,58 @@ def _mismatch():
     return ValueError("the lane ranges of a family made different draws")
 
 
-def _word(bit_generator):
-    """Index of the next 64-bit word a Philox bit generator returns."""
-    state = bit_generator.state
-    counter = state["state"]["counter"]
-    return 4 * sum(int(c) << (64 * i) for i, c in enumerate(counter)) \
-        + state["buffer_pos"]
+class _SharedDraws:
+    """The draws of one stream, shared by the lane ranges of
+    :func:`map_lanes`: the first range to ask for draw ``i`` makes it
+    whole, at the whole run's lane count, from the stream's one generator,
+    and every range reads its rows of it as views.  Rows ``[lo:hi]`` of a
+    whole draw are what lanes ``lo`` to ``hi`` of the serial run read, so
+    the numbers do not depend on how the lanes are split.
 
-
-def _place(gen, key, word):
-    """``gen`` (a Philox generator) set to ``key``, its next word
-    ``word``; returned."""
-    block, skip = divmod(word - 4, 4)
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([(block >> (64 * i)) & (2**64 - 1) for i in range(4)],
-                                      dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
-    if skip:
-        gen.bit_generator.random_raw(skip)
-    return gen
-
-
-class _SplitDraws:
-    """Every lane range makes its own rows of each draw of one Philox
-    stream, starting at the word where the rows before it end.
-
-    A ``random`` value takes one word, so every range knows where its rows
-    start.  A ``standard_normal`` value takes one word, or more after a
-    rejection, so range ``j`` starts where its rows would start without
-    rejections, which is never later than the right word.  A value is a
-    function of the words from its first one on, so from the first start
-    word the two parses share they agree: once range ``j - 1`` knows where
-    its rows end, :meth:`_join` finds where the parses meet by matching a
-    run of 8 values (each carries 52 random bits, so two different start
-    words do not give the same run), splices them, and draws the few
-    values still missing.  Where no meeting point is found, the rows are
-    drawn again from the right word.
+    Draw ``i`` is made only once every range has read draw ``i - 1``, and
+    dropped once every range has read it, so at most two whole draws are
+    held: the one being read and the one whose rows a range may still use.
+    The generator is opened at the first draw, inside a range's ``run``.
     """
 
     def __init__(self, stream, sizes):
-        bit_generator = stream.bit_generator()
-        self._key = bit_generator.state["state"]["key"]
+        self._stream = stream
+        self._gen = None
         self._bounds = np.cumsum([0, *sizes]).tolist()
         self._cond = threading.Condition()
-        self._start = {0: _word(bit_generator)}  # draw -> its first word
-        self._end = {}  # (draw, range) -> the word after the range's normals
-        self._kind = {}  # draw -> (method, shape[1:])
+        self._read = [0] * len(sizes)  # draws each range has read
         self._done = [False] * len(sizes)
-        # per range: the generator of its rows and one to probe with
-        self._gens = [[_Generator(np.random.Philox(0)) for _ in range(2)]
-                      for _ in sizes]
+        self._held = None  # (index, method, shape[1:], whole draw)
         self.error = None
-
-    def _await(self, table, key, maker):
-        """``table[key]`` once range ``maker`` has set it (lock held)."""
-        while key not in table:
-            if self.error is not None:
-                raise _Aborted()
-            if self._done[maker]:
-                raise _mismatch()
-            self._cond.wait()
-        return table[key]
 
     def take(self, j, i, method, shape):
         """Range ``j``'s rows of draw ``i``, asked for as a ``method`` draw
         of ``shape``."""
         lo, hi = self._bounds[j], self._bounds[j + 1]
-        last = len(self._bounds) - 2
-        cols = int(np.prod(shape[1:]))
         if shape[0] != hi - lo:
             raise _mismatch()
         with self._cond:
-            if self._kind.setdefault(i, (method, shape[1:])) != (method, shape[1:]):
+            while self._held is None or self._held[0] != i:
+                if self.error is not None:
+                    raise _Aborted()
+                if any(self._done):
+                    # a finished range would never read this draw
+                    raise _mismatch()
+                if self._held is None:
+                    if self._gen is None:
+                        self._gen = self._stream.generator()
+                    whole = getattr(self._gen, method)((self._bounds[-1], *shape[1:]))
+                    self._held = (i, method, shape[1:], whole)
+                else:
+                    self._cond.wait()  # until every range has read draw i - 1
+            _, kind, cols, whole = self._held
+            if (kind, cols) != (method, shape[1:]):
                 raise _mismatch()
-            start = self._await(self._start, i, last)
-            if method == "random":
-                self._start[i + 1] = start + self._bounds[-1] * cols
+            self._read[j] += 1
+            if min(self._read) > i:
+                self._held = None
                 self._cond.notify_all()
-        first = start + lo * cols
-        gen, probe = self._gens[j]
-        rows = getattr(_place(gen, self._key, first), method)((hi - lo) * cols)
-        if method == "standard_normal":
-            if j:
-                with self._cond:
-                    end = self._await(self._end, (i, j - 1), j - 1)
-                rows, gen = self._join(end, first, rows, gen, probe)
-            with self._cond:
-                self._end[(i, j)] = _word(gen.bit_generator)
-                if j == last:
-                    self._start[i + 1] = self._end[(i, j)]
-                self._cond.notify_all()
-        return rows.reshape(hi - lo, *shape[1:])
-
-    def _join(self, end, first, guess, gen, probe, run=8):
-        """The normals from word ``end`` on, as many as ``guess`` holds, and
-        the generator after them, given ``guess`` parsed from word
-        ``first <= end`` by ``gen``."""
-        exact = _place(probe, self._key, end).standard_normal(2 * run)
-        # the guess's value that starts at word ``end`` or after has an
-        # index of at most ``end - first`` plus the values between
-        reach = guess[:end - first + 4 * run]
-        for k in range(run):
-            for at in np.flatnonzero(reach == exact[k]):
-                if at >= k and np.array_equal(guess[at:at + run], exact[k:k + run]):
-                    return np.concatenate([exact[:k], guess[at:],
-                                           gen.standard_normal(at - k)]), gen
-        return _place(probe, self._key, end).standard_normal(len(guess)), probe
+        return whole[lo:hi]
 
     def finish(self, j):
         with self._cond:

@@ -16,6 +16,7 @@ import pytest
 from rarepath import (RngStream, clamped_drift_family, diagnostics,
                       inverse_bessel_family, passage)
 from rarepath.paths import HORIZON_CAP
+from rarepath.rng import map_lanes
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 TREE = ast.parse(LAYERS.read_text(), filename=str(LAYERS))
@@ -109,12 +110,30 @@ def _load_layers():
         lambda t, w, ws: w[:, :1], step=1.0 / 16, dim=1, n_grid=(1, 2))),
 ])
 def test_family_draws_follow_replayed_pattern(kind, family):
+    # the tracer files a generator under the simulate_multi call it is
+    # opened in: at any worker count a chunk's lanes must open one, inside
+    # a lane range's run, and draw whole at the chunk's lane count
     layers = _load_layers()
-    calls = []
-    gen = layers.RecordingGenerator(RngStream(3, 0).generator(), calls)
-    stream = type("Stream", (), {"generator": lambda self, *sub: gen})()
-    family().simulate_multi(stream, 0.5, 40)
-    assert layers.lane_profile(calls, layers.PATTERNS[kind]) == [40] * 8
+    fam = family()
+    running = []
+
+    def run(s, m):
+        running.append(m)
+        try:
+            return fam.simulate_multi(s, 0.5, m)
+        finally:
+            running.remove(m)
+
+    for workers in (1, 2):
+        calls, opened = [], []
+
+        def generator(self, *sub):
+            opened.append(bool(running))
+            return layers.RecordingGenerator(RngStream(3, 0).generator(*sub), calls)
+
+        map_lanes(run, type("Stream", (), {"generator": generator})(), 40, workers)
+        assert opened == [True]
+        assert layers.lane_profile(calls, layers.PATTERNS[kind]) == [40] * 8
 
 
 @pytest.mark.parametrize("kind,batch", [("is", passage._is_batch),

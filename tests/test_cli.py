@@ -397,13 +397,17 @@ def test_bad_step_or_workers_exits_2(case, tmp_path, capsys):
      "--functional", "occupation-above:nan:50"],
     ["ou-oracle", "--N", "2", "--replicas", "10", "--step", "0.01",
      "--functional", "occupation-above:inf:50"],
+    ["ou-estimate", "--N", "2", "--replicas", "10", "--step", "0.01",
+     "--functional", "capped-duration:inf"],
+    ["tightness", "--family", "constant", "--kappas", "2,inf"],
 ], ids=["mark-gauss-short", "mark-not-float", "intensity-affine-short",
         "intensity-not-float", "affine-on-2d-mark", "samples-0", "step-nan",
         "step-inf", "cap-nan", "mark-sd-nan", "horizon-nan", "horizon-inf",
         "x0-nan", "x0-inf", "x0-minus-inf", "thinning-x0-nan",
         "thinning-const-nan", "thinning-const-inf", "thinning-bound-inf",
         "thinning-bound-nan", "time-change-const-inf", "affine-coefficient-nan",
-        "occupation-level-nan", "oracle-occupation-level-inf"])
+        "occupation-level-nan", "oracle-occupation-level-inf", "cap-inf",
+        "tightness-kappa-inf"])
 def test_malformed_spec_or_value_exits_2(argv, tmp_path, capsys):
     rc = _run(argv + ["--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2

@@ -144,6 +144,8 @@ def test_profile_input_validation():
     with pytest.raises(InvalidArgument):
         q_tail_profile(fam, [], replicas=10, seed=1)
     with pytest.raises(InvalidArgument):
+        q_tail_profile(fam, [2.0, math.inf], replicas=10, seed=1)
+    with pytest.raises(InvalidArgument):
         unity_check(fam, replicas=10, seed=1, member="bogus")
     with pytest.raises(InvalidArgument):
         q_tail_profile(fam, [2.0], replicas=0, seed=1)

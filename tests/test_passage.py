@@ -14,7 +14,7 @@ from rarepath import passage
 from rarepath.passage import (_P_IS, _P_REJ, BridgeSample, _is_batch,
                               _occ_cell, _rej_batch, _run_is, _run_rej,
                               conditional_samples)
-from rarepath.paths import HORIZON_CAP
+from rarepath.paths import HORIZON_CAP, ou_weight_mean
 
 
 def _synthetic_excursion():
@@ -37,6 +37,16 @@ def test_functional_factories_and_validation():
 def test_occupation_level_must_be_finite(level):
     with pytest.raises(InvalidArgument):
         PathFunctional.occupation_above(level, 50.0)
+
+
+@pytest.mark.parametrize("cap", [math.inf, math.nan, 0.0, -1.0])
+def test_cap_must_be_finite_and_positive(cap):
+    # the estimator needs bounded functionals
+    for make in (PathFunctional.capped_duration,
+                 lambda c: PathFunctional.occupation_above(1.0, c),
+                 lambda c: PathFunctional.custom(lambda exc, d: 0.0, c)):
+        with pytest.raises(InvalidArgument):
+            make(cap)
 
 
 def test_functional_capped_duration():
@@ -292,6 +302,32 @@ def test_weight_mean_finite_and_stabilizing():
         means[tag] = (w.mean(), w.std(ddof=1) / math.sqrt(n))
     gap = abs(means["a"][0] - means["b"][0])
     assert gap <= 3.0 * math.hypot(means["a"][1], means["b"][1])
+
+
+def _weight_ratio(seed, level, h, replicas, detection):
+    """The IS weight's sample mean over its exact mean ``N/D(N)``, and the
+    standard error of that ratio."""
+    *_, logw, _ = _run_is(seed, level, h, replicas, None, detection, 1)
+    w = np.exp(logw) / ou_weight_mean(level)
+    return w.mean(), w.std(ddof=1) / math.sqrt(replicas)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_weight_mean_is_n_over_dawson(level):
+    # bridge detection leaves an O(h) bias, a few tenths of a percent at
+    # h = 4e-3 (grid detection's O(sqrt h) one is 1.6% at level 2)
+    ratio, se = _weight_ratio(5, level, 4e-3, 20000, "bridge")
+    assert abs(ratio - 1.0) < 3.0 * se + 0.005
+
+
+def test_grid_weight_bias_halves_per_quartered_step():
+    # a missed sub-step hit of 0 keeps the lane running: grid detection
+    # biases the weight mean upwards by O(sqrt h), so a 4x smaller step
+    # halves the bias (the ratio's noise here is about 0.15)
+    coarse, se_c = _weight_ratio(5, 2, 1.6e-2, 40000, "grid")
+    fine, se_f = _weight_ratio(5, 2, 4e-3, 40000, "grid")
+    assert coarse - 1.0 > 5.0 * se_c and fine - 1.0 > 5.0 * se_f
+    assert 1.4 < (coarse - 1.0) / (fine - 1.0) < 2.8
 
 
 def test_oracle_zero_acceptance_raises():

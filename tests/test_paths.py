@@ -11,7 +11,7 @@ from rarepath import (ContinuousPath, Hit, InvalidArgument, LevelNeverReached,
                       RngStream, _native, ou_scale_ratio, path_integral_square,
                       reversed_last_excursion, simulate_brownian)
 from rarepath.paths import (_SCALE_LOG_AT_INT, StoppedSegment, _scale_log,
-                            crossing_fraction, ou_scale_ratio_log)
+                            crossing_fraction, ou_scale_ratio_log, ou_weight_mean)
 
 # frozen by independent quadrature of the chi density with 3 degrees of
 # freedom: mean = 2*sqrt(2/pi)
@@ -157,6 +157,13 @@ def test_scale_log_table_is_the_closed_form():
     assert sorted(_SCALE_LOG_AT_INT) == list(range(1, 28))
     for k, tabled in _SCALE_LOG_AT_INT.items():
         assert tabled == k * k + math.log(special.dawsn(float(k))), k
+
+
+@pytest.mark.parametrize("level", [0.5, 1.0, 2.0, 3.0, 4.0, 7.3, 27.0, 40.0])
+def test_weight_mean_is_the_closed_form(level):
+    assert ou_weight_mean(level) == pytest.approx(level / special.dawsn(level), rel=1e-12)
+    with pytest.raises(InvalidArgument):
+        ou_weight_mean(-level)
 
 
 @pytest.mark.parametrize("y", [1e-3, 0.1, 0.5, 1.5, 7.3, 27.5, 28.0, 50.0, 100.0])

@@ -1,9 +1,11 @@
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 
-from rarepath import RngStream, rng
+from rarepath import RngStream
 from rarepath.rng import map_lanes
 
 
@@ -101,21 +103,48 @@ def _within(seconds, fn):
     return box["out"]
 
 
-@pytest.mark.parametrize("join", ["match", "redraw"])
 @pytest.mark.parametrize("total,workers", [
     (1, 1), (1, 4), (2, 3), (5, 2), (7, 3), (1000, 2), (1000, 4), (40000, 3)])
-def test_lane_ranges_read_their_rows_of_one_draw(total, workers, join, monkeypatch):
-    if join == "redraw":
-        # a shifted guess matches nowhere: every range draws its normals
-        # again from the word where the rows before it end
-        join_at = rng._SplitDraws._join
-        monkeypatch.setattr(rng._SplitDraws, "_join", lambda self, end, first, guess, *a:
-                            join_at(self, end, first, guess + 1.0, *a))
+def test_lane_ranges_read_their_rows_of_one_draw(total, workers):
     whole = _walk(RngStream(8, 3), total)
     parts = _within(60, lambda: map_lanes(_walk, RngStream(8, 3), total, workers))
     assert len(parts) == min(workers, total)
     assert [len(p) for p in parts] == sorted((len(p) for p in parts), reverse=True)
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_lane_ranges_hold_at_most_two_whole_draws():
+    # the first range (13 334 lanes) sleeps before every draw, so the two
+    # others would run ahead of it if they did not wait for it to read
+    gen = RngStream(8, 3).generator()
+    made, held = [], []
+
+    class Counting:
+        def __getattr__(self, method):
+            def draw(size):
+                # whole draws still alive when the next one is made
+                held.append(sum(ref() is not None for ref in made))
+                out = getattr(gen, method)(size)
+                made.append(weakref.ref(out))
+                return out
+            return draw
+
+    stream = type("Stream", (), {"generator": lambda self: Counting()})()
+
+    def slowed(s, m):
+        g = s.generator()
+        x = np.zeros((m, 3))
+        for _ in range(6):
+            if m == 13334:
+                time.sleep(0.02)
+            x += g.standard_normal((m, 3))
+            x[:, 0] *= g.random(m)
+        return x
+
+    parts = _within(60, lambda: map_lanes(slowed, stream, 40000, 3))
+    assert np.array_equal(np.concatenate(parts), _walk(RngStream(8, 3), 40000))
+    assert len(held) == 12
+    assert max(held) <= 1
 
 
 def test_lane_ranges_that_draw_differently_are_refused():
