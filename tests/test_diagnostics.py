@@ -258,6 +258,13 @@ _TIGHTNESS_CASES = {
     "chunks": (lambda: clamped_drift_family(
         lambda t, w, ws: np.stack([np.cos(w[:, 0]), ws], axis=1),
         step=1.0 / 8, dim=2, n_grid=(1, 2, 4), t_grid=(0.25, 0.5)), 70000, 35),
+    # three components pin the summation order of the clamped quadratic and
+    # linear terms beyond two; the clamps 3 and 6 bind on every component
+    "clamped-3d": (lambda: clamped_drift_family(
+        lambda t, w, ws: np.stack([4.0 * np.sin(w[:, 1]) + w[:, 2],
+                                   2.0 * np.cos(w[:, 0]) - 3.0 * ws,
+                                   5.0 * w[:, 0] * w[:, 1] + ws], axis=1),
+        step=1.0 / 16, dim=3, n_grid=(1, 3, 6), t_grid=(0.5, 1.0)), 2000, 36),
 }
 
 _TIGHTNESS_DIGESTS = {
@@ -271,6 +278,8 @@ _TIGHTNESS_DIGESTS = {
         "df45e4888789a40b24b5ccd0121f764c05afdd1bce1a9b638285bb98d8f330a0",
     "chunks":
         "88ea34e8c5cabc440b487eb739d68099c3fba86363967679b44ec7f0a88cb526",
+    "clamped-3d":
+        "333b8f2cf354f1caccb2e57f5901f868768250863b286eb9ab8489f93e84b334",
 }
 
 
