@@ -1,6 +1,7 @@
 /* One step of each passage lane engine (see passage.py) and of the
  * inverse-Bessel family (family_step; diagnostics.py) on the package's one
- * bridge coin (coin), and numpy's standard normal sampler (normal_fill).
+ * bridge coin (coin), one step of the clamped-drift family (drift_step;
+ * diagnostics.py), and numpy's standard normal sampler (normal_fill).
  *
  * Each engine step takes the step's draws, advances every alive lane, writes
  * the results of the lanes that stop by lane id, and compacts the alive
@@ -232,6 +233,126 @@ void family_step(int64_t members, int64_t size, double h, double sq,
                 frozen[j] = r <= eps[m] || coin(d[j], dn, h, SKIP * h, u[i]);
             d[j] = dn;
         }
+    }
+}
+
+/* Add term j of the drift row a clamped to [-bound, bound] (NaN stays NaN,
+ * as in np.clip) to quad, and its product with dw = z*sq to lin */
+static inline void add_term(const double *a, const double *z, double sq, double bound,
+                            int64_t j, double *quad, double *lin)
+{
+    double c = a[j] < -bound ? -bound : (a[j] > bound ? bound : a[j]);
+    *quad = c * c + *quad;
+    *lin = c * (z[j] * sq) + *lin;
+}
+
+/* The sums over the n terms of add_term in np.einsum's order: numpy's
+ * x86-64 baseline (two-lane SSE2 vectors) adds term j in lane j % 2, each
+ * whole block of eight terms from its last pair to its first and then
+ * the rest in order, and returns lane 0 + lane 1. */
+static inline void clamped_sums(const double *a, const double *z, double sq,
+                                double bound, int64_t n, double *quad, double *lin)
+{
+    double q0 = 0.0, q1 = 0.0, l0 = 0.0, l1 = 0.0;
+    int64_t j = 0;
+    for (; n - j >= 8; j += 8)
+        for (int k = 6; k >= 0; k -= 2) {
+            add_term(a, z, sq, bound, j + k, &q0, &l0);
+            add_term(a, z, sq, bound, j + k + 1, &q1, &l1);
+        }
+    for (; n - j >= 2; j += 2) {
+        add_term(a, z, sq, bound, j, &q0, &l0);
+        add_term(a, z, sq, bound, j + 1, &q1, &l1);
+    }
+    if (j < n)
+        add_term(a, z, sq, bound, j, &q0, &l0);
+    *quad = q0 + q1;
+    *lin = l0 + l1;
+}
+
+/* numpy's pairwise sum of the squares of a[0..n), n >= 8 */
+static double pairwise_squares(const double *a, int64_t n)
+{
+    if (n > 128) {
+        int64_t half = n / 2 - n / 2 % 8;
+        return pairwise_squares(a, half) + pairwise_squares(a + half, n - half);
+    }
+    double r[8];
+    int64_t j;
+    for (int k = 0; k < 8; k++)
+        r[k] = a[k] * a[k];
+    for (j = 8; j < n - n % 8; j += 8)
+        for (int k = 0; k < 8; k++)
+            r[k] += a[j + k] * a[j + k];
+    double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; j < n; j++)
+        s += a[j] * a[j];
+    return s;
+}
+
+/* The sum of the squares of a[0..n) as np.add.reduce sums them along a
+ * contiguous axis: in order below eight terms, pairwise from eight */
+static inline double sum_squares(const double *a, int64_t n)
+{
+    if (n >= 8)
+        return pairwise_squares(a, n);
+    double s = 0.0;
+    for (int64_t j = 0; j < n; j++)
+        s += a[j] * a[j];
+    return s;
+}
+
+/* drift_step's update of logm and hit */
+static inline void drift_members(int64_t members, int64_t size, int64_t dim,
+                                 double half_h, double sq, const double *bound,
+                                 const double *log_n, const double *drift,
+                                 const double *z, double *logm, uint8_t *hit)
+{
+    for (int64_t m = 0; m < members; m++) {
+        double *lm = logm + m * size;
+        uint8_t *ht = hit + m * size;
+        for (int64_t i = 0; i < size; i++) {
+            double quad, lin;
+            clamped_sums(drift + dim * i, z + dim * i, sq, bound[m], dim, &quad, &lin);
+            lm[i] += lin - quad * half_h;
+            ht[i] |= lm[i] >= log_n[m];
+        }
+    }
+}
+
+/* drift_step's update of w and wstar */
+static inline void drift_move(int64_t size, int64_t dim, double sq, const double *z,
+                              double *w, double *wstar)
+{
+    for (int64_t i = 0; i < size; i++) {
+        double *wi = w + dim * i;
+        for (int64_t j = 0; j < dim; j++)
+            wi[j] += z[dim * i + j] * sq;
+        double r = sqrt(sum_squares(wi, dim));
+        if (!(wstar[i] >= r || isnan(wstar[i])))
+            wstar[i] = r;
+    }
+}
+
+/* One clamped-drift family step: member m clamps each lane's drift row to
+ * [-bound[m], bound[m]] and adds lin - quad*h/2 to logm, lin the clamped
+ * row's product with dw = z*sq and quad its square, marking hit once logm
+ * >= log_n[m]; then w moves by dw and wstar keeps the largest norm of w
+ * (NaN wins, as in np.maximum).  drift, z and w are (size, dim); logm and
+ * hit are (members, size).  The calls with a literal dim of 1 do the same
+ * arithmetic, with the loops over components unrolled by the compiler. */
+void drift_step(int64_t members, int64_t size, int64_t dim, double h, double sq,
+                const double *bound, const double *log_n, const double *drift,
+                const double *z, double *w, double *wstar, double *logm,
+                uint8_t *hit)
+{
+    double half_h = 0.5 * h;
+    if (dim == 1) {
+        drift_members(members, size, 1, half_h, sq, bound, log_n, drift, z, logm, hit);
+        drift_move(size, 1, sq, z, w, wstar);
+    } else {
+        drift_members(members, size, dim, half_h, sq, bound, log_n, drift, z, logm, hit);
+        drift_move(size, dim, sq, z, w, wstar);
     }
 }
 

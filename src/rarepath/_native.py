@@ -1,5 +1,6 @@
-"""Build and load ``_lanes.c``: the passage and inverse-Bessel lane steps,
-and numpy's standard normal sampler that ``rng`` draws all normals with.
+"""Build and load ``_lanes.c``: the passage lane steps, the inverse-Bessel
+and clamped-drift family steps, and numpy's standard normal sampler that
+``rng`` draws all normals with.
 
 The source is compiled with the system C compiler (``cc``) on first use
 and cached in the package's ``__pycache__`` directory, under a name keyed
@@ -40,6 +41,9 @@ _SIGNATURES = {  # name: (return type, argument types)
     "rej_step": (_I64, [_I64, _I64, _F64, _F64, _F64, _F64, _F64, _INT, _INT] + [_PTR] * 8),
     # members, size, h, sq, then eps, 2 draw and 3 state buffers
     "family_step": (None, [_I64, _I64, _F64, _F64] + [_PTR] * 6),
+    # members, size, dim, h, sq, then bound, log_n, drift, z and 4 state
+    # buffers
+    "drift_step": (None, [_I64, _I64, _I64, _F64, _F64] + [_PTR] * 8),
     # a numpy bitgen_t, n, then the output buffer
     "normal_fill": (None, [_PTR, _I64, _PTR]),
 }
@@ -107,8 +111,8 @@ def _load():
 
 
 def kernels():
-    """The compiled library, with ``is_step``, ``rej_step``,
-    ``family_step`` and ``normal_fill`` typed."""
+    """The compiled library, with every function of ``_SIGNATURES``
+    typed."""
     global _lib
     if _lib is None:  # the lock is taken only while the library is unbuilt
         with _lock:

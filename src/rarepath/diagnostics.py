@@ -18,6 +18,7 @@ configured thresholds, never proofs.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -125,6 +126,15 @@ def _members(n_grid):
     return n_grid
 
 
+def _steps(t, step):
+    """The number of steps of length ``step`` that make up the time ``t``:
+    a whole number of at least one, to a relative 1e-9."""
+    ratio = t / step
+    if not 1.0 - 1e-9 <= ratio < math.inf or abs(ratio - round(ratio)) > 1e-9 * ratio:
+        raise InvalidArgument(f"time {t:g} is not a whole number of steps {step:g}")
+    return round(ratio)
+
+
 def _joined(parts):
     """One draw of the lane ranges of :func:`~rarepath.rng.map_lanes`."""
     if len(parts) == 1:
@@ -147,8 +157,8 @@ def _column_stats(family, replicas, seed, columns, workers=1) -> dict:
     its own, by ``.sum(axis=-1)`` and ``einsum`` (a fixed summation order
     that no BLAS thread count changes).  Values must be finite and
     nonnegative."""
-    if replicas < 1:
-        raise InvalidArgument("replicas must be positive")
+    if replicas < 2:
+        raise InvalidArgument("replicas must be at least 2 for a standard error")
     if not family.n_grid or not family.t_grid:
         raise InvalidArgument("the family needs at least one member and one time")
     if not all(0.0 < t < math.inf for t in family.t_grid):
@@ -271,38 +281,42 @@ def clamped_drift_family(mu: Callable, step: float, dim: int = 1,
     of their norms enabling linear-growth drifts); member ``n`` clamps
     the drift to ``[-n, n]`` per component, which makes each member a
     bona fide unit-mean density.  The stopping flag records the first
-    grid time the member's running value reaches ``n``.
+    grid time the member's running value reaches ``n``.  The drift may be
+    anything that broadcasts to ``(size, dim)``; each step, the compiled
+    ``drift_step`` then updates ``w`` and ``w_star`` in place, so ``mu``
+    must not keep references to them.
     """
     if not 0.0 < step < math.inf:
         raise InvalidArgument("step must be finite and positive")
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise InvalidArgument("dim must be an integer of at least 1")
+    dim = int(dim)
     n_grid = _members(n_grid)
-    members = np.array(n_grid, dtype=float)
-    bound = members[:, None, None]
-    log_n = np.log(np.maximum(members, 1.0))[:, None]
+    bound = np.array(n_grid, dtype=float)
+    log_n = np.log(np.maximum(bound, 1.0))
 
     def simulate_multi(stream: RngStream, t: float, size: int):
+        from . import _native  # on first use: start-up builds and loads nothing
+        lib, address, draws = _native.kernels(), _native.address, _native.draws
         gen = stream.generator()
-        steps = max(int(round(t / step)), 1)
+        steps = _steps(t, step)
         sq = math.sqrt(step)
+        drift = np.empty((size, dim))
         w = np.zeros((size, dim))
         wstar = np.zeros(size)
         logm = np.zeros((len(n_grid), size))
         hit = np.zeros((len(n_grid), size), dtype=bool)
-        # per-step buffers: fresh (members, size) arrays each step fault pages in
-        dn = np.empty((len(n_grid), size, dim))
-        quad, lin = np.empty_like(logm), np.empty_like(logm)
+        fixed = [address(a) for a in (bound, log_n, drift)]
+        state = [address(a) for a in (w, wstar, logm, hit)]
         for k in range(steps):
-            drift = np.asarray(mu(k * step, w, wstar), dtype=float)
-            dw = sq * gen.standard_normal((size, dim))
-            np.clip(drift, -bound, bound, out=dn)
-            np.einsum("mij,mij->mi", dn, dn, out=quad)
-            quad *= 0.5 * step
-            np.einsum("mij,ij->mi", dn, dw, out=lin)
-            lin -= quad
-            logm += lin
-            hit |= logm >= log_n
-            w = w + dw
-            wstar = np.maximum(wstar, np.linalg.norm(w, axis=1))
+            d = np.asarray(mu(k * step, w, wstar), dtype=float)
+            try:
+                drift[...] = d
+            except ValueError:
+                raise InvalidArgument(f"a drift of shape {d.shape} does not "
+                                      f"broadcast to {(size, dim)}") from None
+            z = draws(gen.standard_normal((size, dim)), (size, dim))
+            lib.drift_step(len(n_grid), size, dim, step, sq, *fixed, address(z), *state)
         return FamilyDraw(values=np.exp(logm), stopped=hit)
 
     return MartingaleFamily(description=description, n_grid=n_grid,
@@ -332,7 +346,7 @@ def inverse_bessel_family(step: float, n_grid=(8, 16, 32),
         from . import _native  # on first use: start-up builds and loads nothing
         lib, address, draws = _native.kernels(), _native.address, _native.draws
         gen = stream.generator()
-        steps = max(int(round(t / step)), 1)
+        steps = _steps(t, step)
         sq = math.sqrt(step)
         pos = np.zeros((size, 3))
         pos[:, 0] = 1.0

@@ -351,6 +351,9 @@ _BAD_VALUES = {
     "tightness-kappa-nan": ["tightness", "--family", "constant", "--kappas", "2,nan"],
     "tightness-floor-nan": ["tightness", "--family", "constant",
                             "--floor-threshold", "nan"],
+    # one replica has no standard error to give a verdict with
+    "tightness-replicas-1": ["tightness", "--family", "bounded-drift",
+                             "--replicas", "1", "--step", "0.25"],
 }
 
 
@@ -400,6 +403,9 @@ def test_bad_step_or_workers_exits_2(case, tmp_path, capsys):
     ["ou-estimate", "--N", "2", "--replicas", "10", "--step", "0.01",
      "--functional", "capped-duration:inf"],
     ["tightness", "--family", "constant", "--kappas", "2,inf"],
+    # a time that is not a whole number of steps
+    ["tightness", "--family", "bounded-drift", "--step", "2", "--t", "1"],
+    ["tightness", "--family", "inverse-bessel", "--step", "0.25", "--t", "0.1"],
 ], ids=["mark-gauss-short", "mark-not-float", "intensity-affine-short",
         "intensity-not-float", "affine-on-2d-mark", "samples-0", "step-nan",
         "step-inf", "cap-nan", "mark-sd-nan", "horizon-nan", "horizon-inf",
@@ -407,7 +413,8 @@ def test_bad_step_or_workers_exits_2(case, tmp_path, capsys):
         "thinning-const-nan", "thinning-const-inf", "thinning-bound-inf",
         "thinning-bound-nan", "time-change-const-inf", "affine-coefficient-nan",
         "occupation-level-nan", "oracle-occupation-level-inf", "cap-inf",
-        "tightness-kappa-inf"])
+        "tightness-kappa-inf", "tightness-t-off-grid-bounded-drift",
+        "tightness-t-off-grid-inverse-bessel"])
 def test_malformed_spec_or_value_exits_2(argv, tmp_path, capsys):
     rc = _run(argv + ["--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2

@@ -149,6 +149,8 @@ def test_profile_input_validation():
         unity_check(fam, replicas=10, seed=1, member="bogus")
     with pytest.raises(InvalidArgument):
         q_tail_profile(fam, [2.0], replicas=0, seed=1)
+    with pytest.raises(InvalidArgument):  # no standard error from one replica
+        q_tail_profile(fam, [2.0], replicas=1, seed=1)
     # a draw must stack one row per member
     one_row = dataclasses.replace(fam, simulate_multi=lambda stream, t, size:
                                   FamilyDraw(values=np.ones((1, size))))
@@ -307,3 +309,92 @@ def test_tightness_profile_does_not_depend_on_workers(case, workers):
     one = q_tail_profile(fam, [2.0, 4.0, 8.0], replicas=replicas, seed=seed)
     assert q_tail_profile(fam, [2.0, 4.0, 8.0], replicas=replicas, seed=seed,
                           workers=workers) == one
+
+
+def _numpy_drift_draw(mu, step, dim, n_grid, stream, t, size):
+    """``(values, stopped)`` of the clamped-drift family stepped in numpy:
+    the reference that the compiled ``drift_step`` repeats operation for
+    operation (the clamp, einsum's sums, the pairwise norm)."""
+    members = np.array(n_grid, dtype=float)
+    bound = members[:, None, None]
+    log_n = np.log(np.maximum(members, 1.0))[:, None]
+    gen = stream.generator()
+    sq = math.sqrt(step)
+    w = np.zeros((size, dim))
+    wstar = np.zeros(size)
+    logm = np.zeros((len(n_grid), size))
+    hit = np.zeros((len(n_grid), size), dtype=bool)
+    dn = np.empty((len(n_grid), size, dim))
+    quad, lin = np.empty_like(logm), np.empty_like(logm)
+    for k in range(round(t / step)):
+        drift = np.asarray(mu(k * step, w, wstar), dtype=float)
+        dw = sq * gen.standard_normal((size, dim))
+        np.clip(drift, -bound, bound, out=dn)
+        np.einsum("mij,mij->mi", dn, dn, out=quad)
+        quad *= 0.5 * step
+        np.einsum("mij,ij->mi", dn, dw, out=lin)
+        lin -= quad
+        logm += lin
+        hit |= logm >= log_n
+        w = w + dw
+        wstar = np.maximum(wstar, np.linalg.norm(w, axis=1))
+    return np.exp(logm), hit
+
+
+_DRIFTS = {
+    "lanes": lambda t, w, ws: 3.0 * np.sin(2.0 * w[:, ::-1]) + ws[:, None],
+    "shared-row": lambda t, w, ws: (np.arange(w.shape[1]) - 1.5)[None, :] * (1.0 + t),
+    "scalar": lambda t, w, ws: 5.0 * math.cos(7.0 * t),
+    "integer": lambda t, w, ws: np.rint(4.0 * w).astype(int),
+    "nan": lambda t, w, ws: np.where(w > 0.2, np.nan, 6.0 * w),
+    "view-of-w": lambda t, w, ws: w[:, ::-1],
+}
+
+
+@pytest.mark.parametrize("drift", list(_DRIFTS))
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 9, 130])
+def test_drift_step_repeats_the_numpy_step_to_the_bit(dim, drift):
+    # dims 9 and 130 reach einsum's blocks of eight terms and the pairwise
+    # norm's eight accumulators and halving; members below 1, not powers
+    # of two, and a single lane cover the clamp and log_n
+    mu, step, n_grid = _DRIFTS[drift], 1.0 / 16, (0.5, 1.0, 2.5, 4.0)
+    fam = clamped_drift_family(mu, step=step, dim=dim, n_grid=n_grid)
+    for size in (1, 37):
+        draw = fam.simulate_multi(RngStream(7, size), 0.5, size)
+        values, stopped = _numpy_drift_draw(mu, step, dim, n_grid,
+                                            RngStream(7, size), 0.5, size)
+        assert draw.values.tobytes() == values.tobytes()
+        assert draw.stopped.tobytes() == stopped.tobytes()
+
+
+@pytest.mark.parametrize("dim", [0, -1, 1.5, True, "2", None])
+def test_clamped_drift_dim_must_be_a_positive_integer(dim):
+    with pytest.raises(InvalidArgument):
+        clamped_drift_family(lambda t, w, ws: w, step=0.25, dim=dim)
+
+
+@pytest.mark.parametrize("mu", [
+    lambda t, w, ws: ws,                       # (size,) at dim 1
+    lambda t, w, ws: np.zeros((len(w), 2)),    # a column too many
+    lambda t, w, ws: np.zeros((2, len(w), 1)),  # one row per member
+], ids=["lanes-last", "dim-2", "per-member"])
+def test_clamped_drift_must_broadcast_to_the_lanes(mu):
+    fam = clamped_drift_family(mu, step=0.25, dim=1, n_grid=(1, 2))
+    with pytest.raises(InvalidArgument):
+        fam.simulate_multi(RngStream(1), 1.0, 5)
+    # the one size at which the (size,) drift broadcasts still runs
+    if mu(0.0, np.zeros((1, 1)), np.zeros(1)).shape == (1,):
+        fam.simulate_multi(RngStream(1), 1.0, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda step: clamped_drift_family(lambda t, w, ws: np.cos(w), step=step),
+    lambda step: inverse_bessel_family(step=step),
+], ids=["clamped-drift", "inverse-bessel"])
+def test_family_time_must_be_a_whole_number_of_steps(make):
+    for step, t in ((2.0, 1.0), (0.25, 0.1), (0.25, 0.3), (0.1, 0.25)):
+        with pytest.raises(InvalidArgument):
+            make(step).simulate_multi(RngStream(1), t, 4)
+    # within a relative 1e-9 of a whole number: 0.1 * 3 / 0.1 is not 3
+    draw = make(0.1).simulate_multi(RngStream(1), 0.1 * 3, 4)
+    assert draw.values.shape == (len(make(0.1).n_grid), 4)

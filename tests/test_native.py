@@ -1,3 +1,5 @@
+import ctypes
+import re
 import shutil
 import tempfile
 
@@ -42,3 +44,27 @@ def test_kernel_build_removes_stale_builds(monkeypatch, tmp_path):
     assert len(built) == 1 and built[0] not in ("_lanes.0123456789abcdef.so",
                                                 "_lanes.fedcba9876543210.so")
     assert (cache / "paths.cpython-310.pyc").exists()
+
+
+# a function _lanes.c exports: defined at the start of a line, not static
+_DEFINITION = re.compile(r"^(?!static\b)(\w+)\s+(\w+)\(([^)]*)\)\s*\{", re.M)
+_C_TYPES = {"void": None, "int": ctypes.c_int, "int64_t": ctypes.c_int64,
+            "double": ctypes.c_double}
+
+
+def _c_type(declaration):
+    """The ctypes type of a C parameter or return type declaration."""
+    if "*" in declaration:
+        return ctypes.c_void_p
+    return _C_TYPES[declaration.split()[0]]
+
+
+def test_every_exported_kernel_is_typed_as_defined():
+    # ctypes trusts argtypes: a parameter miscounted or mistyped there
+    # corrupts memory without an error
+    defined = {name: (_c_type(restype), [_c_type(p) for p in params.split(",")])
+               for restype, name, params in _DEFINITION.findall(_native.SOURCE.read_text())}
+    assert "drift_step" in defined
+    assert defined.keys() == _native._SIGNATURES.keys()
+    for name, (restype, argtypes) in _native._SIGNATURES.items():
+        assert (restype, argtypes) == defined[name], name
