@@ -11,9 +11,11 @@
  * that visit, are evaluated where its crossing of 1 is recorded, so a
  * lane's results are final when it stops.
  *
- * The arithmetic repeats the numpy operations the steps were first
- * written with, in the same order, so every output is bit-identical to
- * theirs; build with -ffp-contract=off so that no product is fused into
+ * The passage steps and family_step repeat the numpy operations they were
+ * first written with, in the same order, so every output is bit-identical
+ * to theirs.  drift_step sums over a lane's components in component order,
+ * which at one and two components is the order of the numpy step it
+ * replaced.  Build with -ffp-contract=off so that no product is fused into
  * an addition.
  *
  * A bridge coin is u < p, p = exp(arg), arg = -2*d_a*d_b/h for the signed
@@ -236,124 +238,60 @@ void family_step(int64_t members, int64_t size, double h, double sq,
     }
 }
 
-/* Add term j of the drift row a clamped to [-bound, bound] (NaN stays NaN,
- * as in np.clip) to quad, and its product with dw = z*sq to lin */
-static inline void add_term(const double *a, const double *z, double sq, double bound,
-                            int64_t j, double *quad, double *lin)
-{
-    double c = a[j] < -bound ? -bound : (a[j] > bound ? bound : a[j]);
-    *quad = c * c + *quad;
-    *lin = c * (z[j] * sq) + *lin;
-}
-
-/* The sums over the n terms of add_term in np.einsum's order: numpy's
- * x86-64 baseline (two-lane SSE2 vectors) adds term j in lane j % 2, each
- * whole block of eight terms from its last pair to its first and then
- * the rest in order, and returns lane 0 + lane 1. */
-static inline void clamped_sums(const double *a, const double *z, double sq,
-                                double bound, int64_t n, double *quad, double *lin)
-{
-    double q0 = 0.0, q1 = 0.0, l0 = 0.0, l1 = 0.0;
-    int64_t j = 0;
-    for (; n - j >= 8; j += 8)
-        for (int k = 6; k >= 0; k -= 2) {
-            add_term(a, z, sq, bound, j + k, &q0, &l0);
-            add_term(a, z, sq, bound, j + k + 1, &q1, &l1);
-        }
-    for (; n - j >= 2; j += 2) {
-        add_term(a, z, sq, bound, j, &q0, &l0);
-        add_term(a, z, sq, bound, j + 1, &q1, &l1);
-    }
-    if (j < n)
-        add_term(a, z, sq, bound, j, &q0, &l0);
-    *quad = q0 + q1;
-    *lin = l0 + l1;
-}
-
-/* numpy's pairwise sum of the squares of a[0..n), n >= 8 */
-static double pairwise_squares(const double *a, int64_t n)
-{
-    if (n > 128) {
-        int64_t half = n / 2 - n / 2 % 8;
-        return pairwise_squares(a, half) + pairwise_squares(a + half, n - half);
-    }
-    double r[8];
-    int64_t j;
-    for (int k = 0; k < 8; k++)
-        r[k] = a[k] * a[k];
-    for (j = 8; j < n - n % 8; j += 8)
-        for (int k = 0; k < 8; k++)
-            r[k] += a[j + k] * a[j + k];
-    double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-    for (; j < n; j++)
-        s += a[j] * a[j];
-    return s;
-}
-
-/* The sum of the squares of a[0..n) as np.add.reduce sums them along a
- * contiguous axis: in order below eight terms, pairwise from eight */
-static inline double sum_squares(const double *a, int64_t n)
-{
-    if (n >= 8)
-        return pairwise_squares(a, n);
-    double s = 0.0;
-    for (int64_t j = 0; j < n; j++)
-        s += a[j] * a[j];
-    return s;
-}
-
-/* drift_step's update of logm and hit */
-static inline void drift_members(int64_t members, int64_t size, int64_t dim,
-                                 double half_h, double sq, const double *bound,
-                                 const double *log_n, const double *drift,
-                                 const double *z, double *logm, uint8_t *hit)
-{
-    for (int64_t m = 0; m < members; m++) {
-        double *lm = logm + m * size;
-        uint8_t *ht = hit + m * size;
-        for (int64_t i = 0; i < size; i++) {
-            double quad, lin;
-            clamped_sums(drift + dim * i, z + dim * i, sq, bound[m], dim, &quad, &lin);
-            lm[i] += lin - quad * half_h;
-            ht[i] |= lm[i] >= log_n[m];
-        }
-    }
-}
-
-/* drift_step's update of w and wstar */
-static inline void drift_move(int64_t size, int64_t dim, double sq, const double *z,
-                              double *w, double *wstar)
+/* The clamped-drift update of every lane with dim components, one pass per
+ * lane: for member m, clamp each component of the lane's drift row to
+ * [-bound[m], bound[m]] (NaN stays NaN, as in np.clip), sum quad, the
+ * clamped row's square, and lin, its product with dw = z*sq, from 0.0 in
+ * component order, add lin - quad*h/2 to logm and mark hit once logm >=
+ * log_n[m]; then move w by dw and keep in wstar the largest norm of w, its
+ * squares summed in component order (NaN wins, as in np.maximum). */
+static inline void drift_lanes(int64_t members, int64_t size, int64_t dim,
+                               double half_h, double sq, const double *bound,
+                               const double *log_n, const double *drift,
+                               const double *z, double *w, double *wstar,
+                               double *logm, uint8_t *hit)
 {
     for (int64_t i = 0; i < size; i++) {
+        const double *a = drift + dim * i, *dz = z + dim * i;
         double *wi = w + dim * i;
-        for (int64_t j = 0; j < dim; j++)
-            wi[j] += z[dim * i + j] * sq;
-        double r = sqrt(sum_squares(wi, dim));
+        for (int64_t m = 0; m < members; m++) {
+            double b = bound[m], quad = 0.0, lin = 0.0;
+            for (int64_t j = 0; j < dim; j++) {
+                double c = a[j] < -b ? -b : (a[j] > b ? b : a[j]);
+                quad += c * c;
+                lin += c * (dz[j] * sq);
+            }
+            int64_t k = m * size + i;
+            logm[k] += lin - quad * half_h;
+            hit[k] |= logm[k] >= log_n[m];
+        }
+        double s = 0.0;
+        for (int64_t j = 0; j < dim; j++) {
+            wi[j] += dz[j] * sq;
+            s += wi[j] * wi[j];
+        }
+        double r = sqrt(s);
         if (!(wstar[i] >= r || isnan(wstar[i])))
             wstar[i] = r;
     }
 }
 
-/* One clamped-drift family step: member m clamps each lane's drift row to
- * [-bound[m], bound[m]] and adds lin - quad*h/2 to logm, lin the clamped
- * row's product with dw = z*sq and quad its square, marking hit once logm
- * >= log_n[m]; then w moves by dw and wstar keeps the largest norm of w
- * (NaN wins, as in np.maximum).  drift, z and w are (size, dim); logm and
- * hit are (members, size).  The calls with a literal dim of 1 do the same
- * arithmetic, with the loops over components unrolled by the compiler. */
+/* One clamped-drift family step (drift_lanes); drift, z and w are (size,
+ * dim), logm and hit are (members, size).  The call with a literal dim of
+ * 1 does the same arithmetic, with the loops over components unrolled by
+ * the compiler. */
 void drift_step(int64_t members, int64_t size, int64_t dim, double h, double sq,
                 const double *bound, const double *log_n, const double *drift,
                 const double *z, double *w, double *wstar, double *logm,
                 uint8_t *hit)
 {
     double half_h = 0.5 * h;
-    if (dim == 1) {
-        drift_members(members, size, 1, half_h, sq, bound, log_n, drift, z, logm, hit);
-        drift_move(size, 1, sq, z, w, wstar);
-    } else {
-        drift_members(members, size, dim, half_h, sq, bound, log_n, drift, z, logm, hit);
-        drift_move(size, dim, sq, z, w, wstar);
-    }
+    if (dim == 1)
+        drift_lanes(members, size, 1, half_h, sq, bound, log_n, drift, z, w, wstar,
+                    logm, hit);
+    else
+        drift_lanes(members, size, dim, half_h, sq, bound, log_n, drift, z, w, wstar,
+                    logm, hit);
 }
 
 /* numpy's standard normal: normal_fill(bitgen, n, out) writes to out the n

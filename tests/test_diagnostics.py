@@ -314,7 +314,8 @@ def test_tightness_profile_does_not_depend_on_workers(case, workers):
 def _numpy_drift_draw(mu, step, dim, n_grid, stream, t, size):
     """``(values, stopped)`` of the clamped-drift family stepped in numpy:
     the reference that the compiled ``drift_step`` repeats operation for
-    operation (the clamp, einsum's sums, the pairwise norm)."""
+    operation (the clamp, then sums from 0.0 in component order of the
+    clamped squares and products and of the squares of ``w``)."""
     members = np.array(n_grid, dtype=float)
     bound = members[:, None, None]
     log_n = np.log(np.maximum(members, 1.0))[:, None]
@@ -325,19 +326,23 @@ def _numpy_drift_draw(mu, step, dim, n_grid, stream, t, size):
     logm = np.zeros((len(n_grid), size))
     hit = np.zeros((len(n_grid), size), dtype=bool)
     dn = np.empty((len(n_grid), size, dim))
-    quad, lin = np.empty_like(logm), np.empty_like(logm)
     for k in range(round(t / step)):
         drift = np.asarray(mu(k * step, w, wstar), dtype=float)
         dw = sq * gen.standard_normal((size, dim))
         np.clip(drift, -bound, bound, out=dn)
-        np.einsum("mij,mij->mi", dn, dn, out=quad)
+        quad, lin = np.zeros_like(logm), np.zeros_like(logm)
+        for j in range(dim):
+            quad += dn[..., j] * dn[..., j]
+            lin += dn[..., j] * dw[:, j]
         quad *= 0.5 * step
-        np.einsum("mij,ij->mi", dn, dw, out=lin)
         lin -= quad
         logm += lin
         hit |= logm >= log_n
         w = w + dw
-        wstar = np.maximum(wstar, np.linalg.norm(w, axis=1))
+        norm2 = np.zeros(size)
+        for j in range(dim):
+            norm2 += w[:, j] * w[:, j]
+        wstar = np.maximum(wstar, np.sqrt(norm2))
     return np.exp(logm), hit
 
 
@@ -354,8 +359,8 @@ _DRIFTS = {
 @pytest.mark.parametrize("drift", list(_DRIFTS))
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9, 130])
 def test_drift_step_repeats_the_numpy_step_to_the_bit(dim, drift):
-    # dims 9 and 130 reach einsum's blocks of eight terms and the pairwise
-    # norm's eight accumulators and halving; members below 1, not powers
+    # dims from 3 on sum past the two terms at which the component order
+    # agrees with numpy's own einsum and norm; members below 1, not powers
     # of two, and a single lane cover the clamp and log_n
     mu, step, n_grid = _DRIFTS[drift], 1.0 / 16, (0.5, 1.0, 2.5, 4.0)
     fam = clamped_drift_family(mu, step=step, dim=dim, n_grid=n_grid)
