@@ -281,7 +281,7 @@ _TIGHTNESS_DIGESTS = {
     "chunks":
         "88ea34e8c5cabc440b487eb739d68099c3fba86363967679b44ec7f0a88cb526",
     "clamped-3d":
-        "333b8f2cf354f1caccb2e57f5901f868768250863b286eb9ab8489f93e84b334",
+        "2a80e5cbfb84e1733059e513609ff3864c33ed8b6d2ec2dde23d2b732f2f6d0a",
 }
 
 
