@@ -359,7 +359,8 @@ def inverse_bessel_family(step: float, n_grid=(8, 16, 32),
             u = draws(gen.random(size), (size,))
             lib.family_step(len(n_grid), size, step, sq, address(eps), address(z),
                             address(u), *state)
-        r = np.sqrt(np.einsum("ij,ij->i", pos, pos))
+        x0, x1, x2 = pos.T  # family_step's order of the squares
+        r = np.sqrt((x0 * x0 + x2 * x2) + x1 * x1)
         raw = 1.0 / np.maximum(r, 1e-300)
         return FamilyDraw(values=np.where(frozen, members[:, None], raw),
                           stopped=frozen, limit_values=raw)
