@@ -48,6 +48,8 @@ class MarkDistribution:
     @staticmethod
     def point_mass(z) -> "MarkDistribution":
         z = np.atleast_1d(np.asarray(z, dtype=float))
+        if not np.all(np.isfinite(z)):
+            raise InvalidArgument(f"point mass must be finite, not {z.tolist()}")
         if not np.any(z != 0.0):
             raise InvalidArgument("point mass at the origin is not a jump")
         return MarkDistribution("point", dim=z.size, params=(z,))
@@ -58,6 +60,8 @@ class MarkDistribution:
         p = np.asarray(probs, dtype=float)
         if len(vals) != len(p):
             raise InvalidArgument("values and probs must have equal length")
+        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(p))):
+            raise InvalidArgument("table values and probs must be finite")
         if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12:
             raise InvalidArgument("probs must be nonnegative and sum to 1 (1e-12)")
         if np.any(~np.any(vals != 0.0, axis=1)):
@@ -67,8 +71,10 @@ class MarkDistribution:
     @staticmethod
     def gaussian_shifted(mean, sd) -> "MarkDistribution":
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        if not sd > 0.0:
-            raise InvalidArgument("sd must be positive")
+        if not np.all(np.isfinite(mean)):
+            raise InvalidArgument(f"mean must be finite, not {mean.tolist()}")
+        if not 0.0 < sd < np.inf:
+            raise InvalidArgument("sd must be finite and positive")
         return MarkDistribution("gaussian", dim=mean.size, params=(mean, float(sd)))
 
     @staticmethod
@@ -120,6 +126,9 @@ class JumpPath:
         object.__setattr__(self, "marks", marks)
         if len(self.jump_times) != len(self.marks):
             raise InvalidArgument("one mark per jump time required")
+        if marks.ndim != 2 or marks.shape[1] != self.x0.size:
+            raise InvalidArgument(f"marks of shape {marks.shape} do not match a "
+                                  f"start of dimension {self.x0.size}")
         if len(self.jump_times) and (np.any(np.diff(self.jump_times) <= 0.0)
                                      or self.jump_times[0] <= 0.0):
             raise InvalidArgument("jump times must be strictly increasing and positive")
@@ -192,11 +201,17 @@ class IntensityFn:
         return float(val)
 
 
-def _start_value(x0):
-    """The start value as a 1-d float array; it must be finite."""
+def _start_value(x0, dim):
+    """The start value as a finite float array of the marks' dimension
+    ``dim``; a single value is repeated ``dim`` times."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if not np.all(np.isfinite(x0)):
         raise InvalidArgument(f"x0 must be finite, not {x0.tolist()}")
+    if x0.size == 1:
+        return np.full(dim, x0[0])
+    if x0.shape != (dim,):
+        raise InvalidArgument(f"x0 of shape {x0.shape} does not match marks "
+                              f"of dimension {dim}")
     return x0
 
 
@@ -216,7 +231,7 @@ def simulate_cpp_time_change(stream: RngStream, g_state: Callable,
     """
     if not 0.0 < horizon < np.inf:
         raise InvalidArgument("horizon must be finite and positive")
-    x0 = _start_value(x0)
+    x0 = _start_value(x0, mark_dist.dim)
     gen = stream.generator()
     x = x0.copy()
     times, marks = [], []
@@ -254,7 +269,7 @@ def simulate_cpp_thinning(stream: RngStream, g: IntensityFn, g_bound: float,
         raise InvalidArgument("g_bound must be finite and positive")
     if not 0.0 < horizon < np.inf:
         raise InvalidArgument("horizon must be finite and positive")
-    x0_arr = _start_value(x0)
+    x0_arr = _start_value(x0, mark_dist.dim)
     gen = stream.generator()
     times, marks = [], []
     t = 0.0
@@ -318,6 +333,20 @@ def compensator(path: JumpPath, g: IntensityFn, t: float,
 # criterion 7, tests/test_jumps.py) and demos/02_jump_processes.py
 
 
+def _count_args(mark, x0, t, lanes):
+    """Refuse what the per-path simulators refuse: a time not in (0, inf),
+    a start or mark that is not finite, a zero mark; and fewer than one
+    lane."""
+    if not 0.0 < t < np.inf:
+        raise InvalidArgument(f"t must be finite and positive, not {t!r}")
+    if not (isinstance(lanes, (int, np.integer)) and lanes >= 1):
+        raise InvalidArgument(f"lanes must be an integer of at least 1, not {lanes!r}")
+    if not np.isfinite(x0):
+        raise InvalidArgument(f"x0 must be finite, not {x0!r}")
+    if not (np.isfinite(mark) and mark != 0.0):
+        raise InvalidArgument(f"mark must be finite and nonzero, not {mark!r}")
+
+
 def time_change_counts(stream: RngStream, g_of_value: Callable, mark: float,
                        x0: float, t: float, lanes: int,
                        max_rounds: int = 10 ** 6) -> np.ndarray:
@@ -326,6 +355,7 @@ def time_change_counts(stream: RngStream, g_of_value: Callable, mark: float,
 
     ``g_of_value`` must accept numpy arrays elementwise.
     """
+    _count_args(mark, x0, t, lanes)
     gen = stream.generator()
     counts = np.zeros(lanes, dtype=np.int64)
     clock = np.zeros(lanes)
@@ -355,6 +385,7 @@ def thinning_counts(stream: RngStream, g_of_value: Callable, g_bound: float,
     deterministic mark).  Hard-fails if the bound is ever exceeded."""
     if not 0.0 < g_bound < np.inf:
         raise InvalidArgument("g_bound must be finite and positive")
+    _count_args(mark, x0, t, lanes)
     gen = stream.generator()
     counts = np.zeros(lanes, dtype=np.int64)
     clock = np.zeros(lanes)

@@ -406,6 +406,12 @@ def test_bad_step_or_workers_exits_2(case, tmp_path, capsys):
     # a time that is not a whole number of steps
     ["tightness", "--family", "bounded-drift", "--step", "2", "--t", "1"],
     ["tightness", "--family", "inverse-bessel", "--step", "0.25", "--t", "0.1"],
+    ["cpp-simulate", "--mark", "point:nan"],
+    ["cpp-simulate", "--mark", "point:inf"],
+    ["cpp-simulate", "--mark", "gauss:nan:1"],
+    ["cpp-simulate", "--mark", "gauss:inf:1"],
+    ["cpp-simulate", "--mark", "table:nan:1"],
+    ["cpp-simulate", "--mark", "table:1:nan"],
 ], ids=["mark-gauss-short", "mark-not-float", "intensity-affine-short",
         "intensity-not-float", "affine-on-2d-mark", "samples-0", "step-nan",
         "step-inf", "cap-nan", "mark-sd-nan", "horizon-nan", "horizon-inf",
@@ -414,7 +420,9 @@ def test_bad_step_or_workers_exits_2(case, tmp_path, capsys):
         "thinning-bound-nan", "time-change-const-inf", "affine-coefficient-nan",
         "occupation-level-nan", "oracle-occupation-level-inf", "cap-inf",
         "tightness-kappa-inf", "tightness-t-off-grid-bounded-drift",
-        "tightness-t-off-grid-inverse-bessel"])
+        "tightness-t-off-grid-inverse-bessel", "mark-point-nan", "mark-point-inf",
+        "mark-gauss-mean-nan", "mark-gauss-mean-inf", "mark-table-value-nan",
+        "mark-table-prob-nan"])
 def test_malformed_spec_or_value_exits_2(argv, tmp_path, capsys):
     rc = _run(argv + ["--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2

@@ -25,6 +25,22 @@ def test_mark_distribution_validation():
         bad.sample(RngStream(1).generator(), 2)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MarkDistribution.point_mass([1.0, math.nan]),
+    lambda: MarkDistribution.point_mass(math.inf),
+    lambda: MarkDistribution.gaussian_shifted(math.nan, 1.0),
+    lambda: MarkDistribution.gaussian_shifted([0.0, -math.inf], 1.0),
+    lambda: MarkDistribution.gaussian_shifted(0.0, math.inf),
+    lambda: MarkDistribution.discrete_table([[1.0], [math.inf]], [0.5, 0.5]),
+    lambda: MarkDistribution.discrete_table([[1.0], [2.0]], [math.nan, 1.0]),
+    lambda: MarkDistribution.discrete_table([[1.0]], [math.nan]),
+], ids=["point-nan", "point-inf", "gauss-mean-nan", "gauss-mean-inf",
+        "gauss-sd-inf", "table-value-inf", "table-prob-nan", "table-lone-prob-nan"])
+def test_mark_distribution_rejects_non_finite_values(make):
+    with pytest.raises(InvalidArgument):
+        make()
+
+
 def test_table_sampling_frequencies():
     table = MarkDistribution.discrete_table([[1.0], [-2.0]], [0.75, 0.25])
     out = table.sample(RngStream(5).generator(), 40000)[:, 0]
@@ -43,6 +59,32 @@ def test_jump_path_accessors():
         JumpPath(x0=[0.0], jump_times=[1.0, 0.5], marks=[[1.0], [1.0]], horizon=2.0)
     with pytest.raises(InvalidArgument):
         JumpPath(x0=[0.0], jump_times=[1.0], marks=[[0.0]], horizon=2.0)
+
+
+def test_jump_path_rejects_marks_of_another_width():
+    with pytest.raises(InvalidArgument):
+        JumpPath(x0=[0.0], jump_times=[0.5], marks=[[1.0, 2.0]], horizon=1.0)
+    with pytest.raises(InvalidArgument):
+        JumpPath(x0=[0.0, 0.0, 0.0], jump_times=[], marks=np.zeros((0, 2)),
+                 horizon=1.0)
+
+
+@pytest.mark.parametrize("simulate", [
+    lambda x0, marks: simulate_cpp_time_change(RngStream(4), lambda y: 2.0, marks,
+                                               x0, 3.0),
+    lambda x0, marks: simulate_cpp_thinning(
+        RngStream(4), IntensityFn.state_dependent(lambda y: 2.0), 2.0, marks, x0, 3.0),
+], ids=["time-change", "thinning"])
+def test_simulators_start_in_the_marks_dimension(simulate):
+    marks = MarkDistribution.point_mass([1.0, 2.0])
+    path = simulate(0.5, marks)
+    assert path.dim == 2 and path.marks.shape[1] == 2
+    assert path.x0.tolist() == [0.5, 0.5]
+    assert len(path.jump_times) > 0
+    assert path.value_at(3.0).tolist() == [0.5 + len(path.jump_times),
+                                           0.5 + 2.0 * len(path.jump_times)]
+    with pytest.raises(InvalidArgument):
+        simulate([0.0, 0.0, 0.0], marks)
 
 
 def test_time_change_constant_rate_halves_times():
@@ -93,6 +135,26 @@ def test_thinning_rejects_nan_or_negative_rate(rate):
     with pytest.raises(InvalidIntensity):
         thinning_counts(RngStream(1), lambda v: np.full_like(v, rate), 2.0, 1.0,
                         0.0, 5.0, 8)
+
+
+_COUNTS = {
+    "time-change": lambda *args: time_change_counts(RngStream(1), np.ones_like, *args),
+    "thinning": lambda *args: thinning_counts(RngStream(1), np.ones_like, 2.0, *args),
+}
+
+
+@pytest.mark.parametrize("count", list(_COUNTS))
+@pytest.mark.parametrize("mark, x0, t, lanes", [
+    (1.0, 0.0, math.nan, 8), (1.0, 0.0, -1.0, 8), (1.0, 0.0, 0.0, 8),
+    (1.0, 0.0, math.inf, 8), (1.0, 0.0, 1.0, 0), (1.0, 0.0, 1.0, 2.5),
+    (math.nan, 0.0, 1.0, 8), (math.inf, 0.0, 1.0, 8), (0.0, 0.0, 1.0, 8),
+    (1.0, math.nan, 1.0, 8),
+], ids=["t-nan", "t-negative", "t-zero", "t-inf", "lanes-0", "lanes-not-int",
+        "mark-nan", "mark-inf", "mark-zero", "x0-nan"])
+def test_count_helpers_reject_bad_arguments(count, mark, x0, t, lanes):
+    # the per-path simulators refuse the same inputs
+    with pytest.raises(InvalidArgument):
+        _COUNTS[count](mark, x0, t, lanes)
 
 
 def test_thinning_constant_rate_poisson_counts():
