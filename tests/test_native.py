@@ -1,6 +1,7 @@
 import ctypes
 import re
 import shutil
+import subprocess
 import tempfile
 
 import numpy as np
@@ -68,3 +69,13 @@ def test_every_exported_kernel_is_typed_as_defined():
     assert defined.keys() == _native._SIGNATURES.keys()
     for name, (restype, argtypes) in _native._SIGNATURES.items():
         assert (restype, argtypes) == defined[name], name
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    # warnings fail only this check: the package's own build keeps FLAGS,
+    # so a newer compiler's warning never makes the kernel unavailable
+    strict = [*_native.FLAGS, "-Wall", "-Wextra", "-Werror"]
+    proc = subprocess.run(["cc", *strict, "-o", str(tmp_path / "_lanes.so"),
+                           str(_native.SOURCE), "-lm"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
