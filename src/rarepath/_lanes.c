@@ -238,19 +238,20 @@ void family_step(int64_t members, int64_t size, double h, double sq,
     }
 }
 
-/* The clamped-drift update of every lane with dim components, one pass per
- * lane: for member m, clamp each component of the lane's drift row to
- * [-bound[m], bound[m]] (NaN stays NaN, as in np.clip), sum quad, the
- * clamped row's square, and lin, its product with dw = z*sq, from 0.0 in
- * component order, add lin - quad*h/2 to logm and mark hit once logm >=
- * log_n[m]; then move w by dw and keep in wstar the largest norm of w, its
- * squares summed in component order (NaN wins, as in np.maximum). */
-static inline void drift_lanes(int64_t members, int64_t size, int64_t dim,
-                               double half_h, double sq, const double *bound,
-                               const double *log_n, const double *drift,
-                               const double *z, double *w, double *wstar,
-                               double *logm, uint8_t *hit)
+/* One clamped-drift family step, one pass per lane: member m clamps the
+ * lane's drift row to [-bound[m], bound[m]] (NaN stays NaN, as in np.clip),
+ * sums quad, the clamped row's square, and lin, its product with dw = z*sq,
+ * from 0.0 in component order, adds lin - quad*h/2 to logm and marks hit
+ * once logm >= log_n[m]; then w moves by dw and wstar keeps the largest
+ * norm of w, its squares summed in component order (NaN wins, as in
+ * np.maximum).  drift, z and w are (size, dim); logm and hit are (members,
+ * size). */
+static inline void drift_lanes(int64_t members, int64_t size, int64_t dim, double h,
+                               double sq, const double *bound, const double *log_n,
+                               const double *drift, const double *z, double *w,
+                               double *wstar, double *logm, uint8_t *hit)
 {
+    double half_h = 0.5 * h;
     for (int64_t i = 0; i < size; i++) {
         const double *a = drift + dim * i, *dz = z + dim * i;
         double *wi = w + dim * i;
@@ -276,21 +277,18 @@ static inline void drift_lanes(int64_t members, int64_t size, int64_t dim,
     }
 }
 
-/* One clamped-drift family step (drift_lanes); drift, z and w are (size,
- * dim), logm and hit are (members, size).  The call with a literal dim of
- * 1 does the same arithmetic, with the loops over components unrolled by
- * the compiler. */
+/* drift_lanes; with a literal dim of 1 the compiler unrolls its loops over
+ * components */
 void drift_step(int64_t members, int64_t size, int64_t dim, double h, double sq,
                 const double *bound, const double *log_n, const double *drift,
                 const double *z, double *w, double *wstar, double *logm,
                 uint8_t *hit)
 {
-    double half_h = 0.5 * h;
     if (dim == 1)
-        drift_lanes(members, size, 1, half_h, sq, bound, log_n, drift, z, w, wstar,
+        drift_lanes(members, size, 1, h, sq, bound, log_n, drift, z, w, wstar,
                     logm, hit);
     else
-        drift_lanes(members, size, dim, half_h, sq, bound, log_n, drift, z, w, wstar,
+        drift_lanes(members, size, dim, h, sq, bound, log_n, drift, z, w, wstar,
                     logm, hit);
 }
 
