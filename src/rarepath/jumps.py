@@ -48,10 +48,8 @@ class MarkDistribution:
     @staticmethod
     def point_mass(z) -> "MarkDistribution":
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        if not np.all(np.isfinite(z)):
-            raise InvalidArgument(f"point mass must be finite, not {z.tolist()}")
-        if not np.any(z != 0.0):
-            raise InvalidArgument("point mass at the origin is not a jump")
+        if not (np.all(np.isfinite(z)) and np.any(z != 0.0)):
+            raise InvalidArgument(f"point mass must be finite and nonzero, not {z.tolist()}")
         return MarkDistribution("point", dim=z.size, params=(z,))
 
     @staticmethod
@@ -60,10 +58,9 @@ class MarkDistribution:
         p = np.asarray(probs, dtype=float)
         if len(vals) != len(p):
             raise InvalidArgument("values and probs must have equal length")
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(p))):
-            raise InvalidArgument("table values and probs must be finite")
-        if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-12:
-            raise InvalidArgument("probs must be nonnegative and sum to 1 (1e-12)")
+        if not (np.all(np.isfinite(vals)) and np.all(p >= 0.0)
+                and abs(p.sum() - 1.0) <= 1e-12):
+            raise InvalidArgument("values must be finite, probs nonnegative summing to 1")
         if np.any(~np.any(vals != 0.0, axis=1)):
             raise InvalidArgument("table contains the zero mark")
         return MarkDistribution("table", dim=vals.shape[1], params=(vals, p))
@@ -71,10 +68,8 @@ class MarkDistribution:
     @staticmethod
     def gaussian_shifted(mean, sd) -> "MarkDistribution":
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        if not np.all(np.isfinite(mean)):
-            raise InvalidArgument(f"mean must be finite, not {mean.tolist()}")
-        if not 0.0 < sd < np.inf:
-            raise InvalidArgument("sd must be finite and positive")
+        if not (np.all(np.isfinite(mean)) and 0.0 < sd < np.inf):
+            raise InvalidArgument("mean must be finite and sd finite and positive")
         return MarkDistribution("gaussian", dim=mean.size, params=(mean, float(sd)))
 
     @staticmethod
@@ -127,8 +122,7 @@ class JumpPath:
         if len(self.jump_times) != len(self.marks):
             raise InvalidArgument("one mark per jump time required")
         if marks.ndim != 2 or marks.shape[1] != self.x0.size:
-            raise InvalidArgument(f"marks of shape {marks.shape} do not match a "
-                                  f"start of dimension {self.x0.size}")
+            raise InvalidArgument("marks must be as wide as x0")
         if len(self.jump_times) and (np.any(np.diff(self.jump_times) <= 0.0)
                                      or self.jump_times[0] <= 0.0):
             raise InvalidArgument("jump times must be strictly increasing and positive")
@@ -202,17 +196,12 @@ class IntensityFn:
 
 
 def _start_value(x0, dim):
-    """The start value as a finite float array of the marks' dimension
-    ``dim``; a single value is repeated ``dim`` times."""
+    """The start value as ``dim`` floats, from ``dim`` finite values or
+    one, repeated."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not np.all(np.isfinite(x0)):
-        raise InvalidArgument(f"x0 must be finite, not {x0.tolist()}")
-    if x0.size == 1:
-        return np.full(dim, x0[0])
-    if x0.shape != (dim,):
-        raise InvalidArgument(f"x0 of shape {x0.shape} does not match marks "
-                              f"of dimension {dim}")
-    return x0
+    if not (np.all(np.isfinite(x0)) and x0.size in (1, dim)):
+        raise InvalidArgument(f"x0 must be 1 or {dim} finite values, not {x0.tolist()}")
+    return np.full(dim, x0.ravel())
 
 
 def simulate_cpp_time_change(stream: RngStream, g_state: Callable,
@@ -250,8 +239,7 @@ def simulate_cpp_time_change(stream: RngStream, g_state: Callable,
         x = x + mark
         if len(times) > max_jumps:
             raise ExplosionSuspected(f"more than {max_jumps} jumps before the horizon")
-    marks_arr = np.array(marks) if marks else np.zeros((0, mark_dist.dim))
-    return JumpPath(x0, np.array(times), marks_arr, horizon=horizon)
+    return JumpPath(x0, np.array(times), np.reshape(marks, (-1, mark_dist.dim)), horizon)
 
 
 def simulate_cpp_thinning(stream: RngStream, g: IntensityFn, g_bound: float,
@@ -281,8 +269,7 @@ def simulate_cpp_thinning(stream: RngStream, g: IntensityFn, g_bound: float,
         n_candidates += 1
         if n_candidates > max_jumps:
             raise ExplosionSuspected(f"more than {max_jumps} candidates before the horizon")
-        partial = JumpPath(x0_arr, np.array(times),
-                           np.array(marks) if marks else np.zeros((0, mark_dist.dim)),
+        partial = JumpPath(x0_arr, np.array(times), np.reshape(marks, (-1, mark_dist.dim)),
                            horizon=horizon)
         rate = g.eval(t, partial)
         if not rate >= 0.0:
@@ -293,8 +280,7 @@ def simulate_cpp_thinning(stream: RngStream, g: IntensityFn, g_bound: float,
         if gen.random() < rate / g_bound:
             times.append(t)
             marks.append(mark_dist.sample(gen, 1)[0])
-    marks_arr = np.array(marks) if marks else np.zeros((0, mark_dist.dim))
-    return JumpPath(x0_arr, np.array(times), marks_arr, horizon=horizon)
+    return JumpPath(x0_arr, np.array(times), np.reshape(marks, (-1, mark_dist.dim)), horizon)
 
 
 def compensator(path: JumpPath, g: IntensityFn, t: float,
@@ -334,17 +320,12 @@ def compensator(path: JumpPath, g: IntensityFn, t: float,
 
 
 def _count_args(mark, x0, t, lanes):
-    """Refuse what the per-path simulators refuse: a time not in (0, inf),
-    a start or mark that is not finite, a zero mark; and fewer than one
-    lane."""
-    if not 0.0 < t < np.inf:
-        raise InvalidArgument(f"t must be finite and positive, not {t!r}")
-    if not (isinstance(lanes, (int, np.integer)) and lanes >= 1):
-        raise InvalidArgument(f"lanes must be an integer of at least 1, not {lanes!r}")
-    if not np.isfinite(x0):
-        raise InvalidArgument(f"x0 must be finite, not {x0!r}")
-    if not (np.isfinite(mark) and mark != 0.0):
-        raise InvalidArgument(f"mark must be finite and nonzero, not {mark!r}")
+    """Refuse what the per-path simulators refuse."""
+    if not (0.0 < t < np.inf and isinstance(lanes, (int, np.integer)) and lanes >= 1
+            and np.isfinite(x0) and np.isfinite(mark) and mark != 0.0):
+        raise InvalidArgument(f"need 0 < t < inf, an integer lanes >= 1, a finite x0 and "
+                              f"a finite nonzero mark, not t={t!r}, lanes={lanes!r}, "
+                              f"x0={x0!r}, mark={mark!r}")
 
 
 def time_change_counts(stream: RngStream, g_of_value: Callable, mark: float,
