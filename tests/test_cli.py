@@ -412,6 +412,7 @@ def test_bad_step_or_workers_exits_2(case, tmp_path, capsys):
     ["cpp-simulate", "--mark", "gauss:inf:1"],
     ["cpp-simulate", "--mark", "table:nan:1"],
     ["cpp-simulate", "--mark", "table:1:nan"],
+    ["cpp-simulate", "--mark", "gauss:0:inf"],
 ], ids=["mark-gauss-short", "mark-not-float", "intensity-affine-short",
         "intensity-not-float", "affine-on-2d-mark", "samples-0", "step-nan",
         "step-inf", "cap-nan", "mark-sd-nan", "horizon-nan", "horizon-inf",
@@ -422,7 +423,7 @@ def test_bad_step_or_workers_exits_2(case, tmp_path, capsys):
         "tightness-kappa-inf", "tightness-t-off-grid-bounded-drift",
         "tightness-t-off-grid-inverse-bessel", "mark-point-nan", "mark-point-inf",
         "mark-gauss-mean-nan", "mark-gauss-mean-inf", "mark-table-value-nan",
-        "mark-table-prob-nan"])
+        "mark-table-prob-nan", "mark-sd-inf"])
 def test_malformed_spec_or_value_exits_2(argv, tmp_path, capsys):
     rc = _run(argv + ["--seed", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2

@@ -25,22 +25,6 @@ def test_mark_distribution_validation():
         bad.sample(RngStream(1).generator(), 2)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: MarkDistribution.point_mass([1.0, math.nan]),
-    lambda: MarkDistribution.point_mass(math.inf),
-    lambda: MarkDistribution.gaussian_shifted(math.nan, 1.0),
-    lambda: MarkDistribution.gaussian_shifted([0.0, -math.inf], 1.0),
-    lambda: MarkDistribution.gaussian_shifted(0.0, math.inf),
-    lambda: MarkDistribution.discrete_table([[1.0], [math.inf]], [0.5, 0.5]),
-    lambda: MarkDistribution.discrete_table([[1.0], [2.0]], [math.nan, 1.0]),
-    lambda: MarkDistribution.discrete_table([[1.0]], [math.nan]),
-], ids=["point-nan", "point-inf", "gauss-mean-nan", "gauss-mean-inf",
-        "gauss-sd-inf", "table-value-inf", "table-prob-nan", "table-lone-prob-nan"])
-def test_mark_distribution_rejects_non_finite_values(make):
-    with pytest.raises(InvalidArgument):
-        make()
-
-
 def test_table_sampling_frequencies():
     table = MarkDistribution.discrete_table([[1.0], [-2.0]], [0.75, 0.25])
     out = table.sample(RngStream(5).generator(), 40000)[:, 0]
@@ -59,14 +43,11 @@ def test_jump_path_accessors():
         JumpPath(x0=[0.0], jump_times=[1.0, 0.5], marks=[[1.0], [1.0]], horizon=2.0)
     with pytest.raises(InvalidArgument):
         JumpPath(x0=[0.0], jump_times=[1.0], marks=[[0.0]], horizon=2.0)
-
-
-def test_jump_path_rejects_marks_of_another_width():
+    # marks as wide as the start
     with pytest.raises(InvalidArgument):
-        JumpPath(x0=[0.0], jump_times=[0.5], marks=[[1.0, 2.0]], horizon=1.0)
+        JumpPath(x0=[0.0], jump_times=[0.5], marks=[[1.0, 2.0]], horizon=2.0)
     with pytest.raises(InvalidArgument):
-        JumpPath(x0=[0.0, 0.0, 0.0], jump_times=[], marks=np.zeros((0, 2)),
-                 horizon=1.0)
+        JumpPath(x0=[0.0, 0.0, 0.0], jump_times=[], marks=np.zeros((0, 2)), horizon=2.0)
 
 
 @pytest.mark.parametrize("simulate", [
