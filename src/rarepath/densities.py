@@ -123,8 +123,8 @@ def counting_density(count_path: JumpPath, a_eval: Callable, u: Callable,
     ``u`` must be a deterministic function bounded by ``u_bound`` in
     absolute value; the bound is checked at every evaluation.
     """
-    if u_bound <= 0.0:
-        raise InvalidArgument("u_bound must be positive")
+    if not 0.0 < u_bound < math.inf:
+        raise InvalidArgument("u_bound must be finite and positive")
     marks = np.asarray(count_path.marks)
     if marks.size and (marks.shape[1] != 1 or np.any(marks[:, 0] != 1.0)):
         raise InvalidArgument("counting path must carry unit marks")

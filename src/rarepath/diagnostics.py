@@ -69,7 +69,8 @@ class MartingaleFamily:
     lanes must be independent, with ``stream.generator()`` drawn only by
     ``standard_normal`` and ``random`` with the lanes on the first axis,
     in calls that do not depend on the lane count: the profile may run a
-    chunk's lanes in ranges on several threads that share each whole draw
+    chunk's lanes in ranges on several threads, each making every draw
+    whole from its own generator and keeping its rows
     (:func:`~rarepath.rng.map_lanes`).  Those are the two methods a lane
     range offers; since the generator itself makes each whole draw, any
     other method would be one more line there.
@@ -152,7 +153,7 @@ def _column_stats(family, replicas, seed, columns, workers=1) -> dict:
     columns that ``columns(draw)`` yields from each stacked draw, one at a
     time so that only one is held.  Chunk ``b`` of time ``t_grid[ci]``
     runs on substream ``(ci << 20) | b``, its lanes split over up to
-    ``workers`` threads that each read their rows of the chunk's whole
+    ``workers`` threads that each keep their rows of the chunk's whole
     draws (the draw is the same at any worker count).  Each row is reduced on
     its own, by ``.sum(axis=-1)`` and ``einsum`` (a fixed summation order
     that no BLAS thread count changes).  Values must be finite and

@@ -13,16 +13,18 @@ Every parallel engine runs through one driver here.  :func:`map_batches`
 runs work units on a thread pool and returns their parts in unit order:
 the passage engines split their lanes into batches by the total alone,
 each batch deriving its own stream.  :func:`map_lanes` splits one
-stream's lanes into ranges that share each of its draws, made whole once,
-each range reading its own rows: the diagnostics families run so.  Either
-way every estimate is independent of the worker count.
+stream's lanes into ranges, each making every draw of the stream whole
+from its own generator and reading its own rows: the diagnostics families
+run so.  Either way every estimate is independent of the worker count.
 """
 
-import threading
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import InvalidArgument
 
 __all__ = ["RngStream", "map_batches", "map_lanes"]
 
@@ -69,143 +71,58 @@ def map_lanes(run, stream, total, workers):
     ``run(s, m)`` simulates ``m`` independent lanes, drawing from
     ``s.generator()`` only by ``standard_normal`` and ``random`` with the
     lanes on the first axis, in the same sequence of calls for every
-    ``m``.  Each range gets a stream whose generator returns that range's
-    rows of the draws the whole ``run(stream, total)`` makes, so its lanes
-    see the same numbers at any worker count and the parts, joined along
-    the lanes, are that call's output.  Each draw is made whole once, from
-    ``stream.generator()`` opened at the first draw, and shared by the
-    ranges (:class:`_SharedDraws`); ranges that draw differently raise
-    ``ValueError``.
+    ``m``.  Each range gets a :class:`_LaneRange` whose generator makes
+    every draw whole, as ``run(stream, total)`` does, and returns that
+    range's rows, so its lanes see the same numbers at any worker count
+    and the parts, joined along the lanes, are that call's output.  Ranges
+    that draw differently raise ``ValueError``.
     """
     k = max(1, min(workers, total))
     if k == 1:
         return [run(stream, total)]
-    sizes = [total // k + (i < total % k) for i in range(k)]
-    draws = _SharedDraws(stream, sizes)
-    lanes = [_LaneRange(draws, j) for j in range(k)]
-
-    def part(j):
-        try:
-            out = run(lanes[j], sizes[j])
-        except BaseException as exc:
-            draws.abort(exc)
-            raise
-        draws.finish(j)
-        return out
-
-    try:
-        # the first range runs here, on the memory this thread already holds
-        with ThreadPoolExecutor(max_workers=k - 1) as pool:
-            rest = [pool.submit(part, j) for j in range(1, k)]
-            parts = [part(0), *(f.result() for f in rest)]
-    except _Aborted:
-        # a range stopped because another one failed: raise the cause
-        raise draws.error from None
-    if len({r.count for r in lanes}) > 1:
-        raise _mismatch()
+    bounds = np.cumsum([0] + [total // k + (i < total % k) for i in range(k)]).tolist()
+    ranges = [_LaneRange(stream, total, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    # the first range runs here, on the memory this thread already holds
+    with ThreadPoolExecutor(max_workers=k - 1) as pool:
+        rest = [pool.submit(run, r, r.size) for r in ranges[1:]]
+        parts = [run(ranges[0], ranges[0].size), *(f.result() for f in rest)]
+    if any(r.calls != ranges[0].calls for r in ranges):
+        raise ValueError("the lane ranges of a family made different draws")
     return parts
 
 
-class _Aborted(Exception):
-    """A lane range stopped because another one failed."""
-
-
-def _mismatch():
-    return ValueError("the lane ranges of a family made different draws")
-
-
-class _SharedDraws:
-    """The draws of one stream, shared by the lane ranges of
-    :func:`map_lanes`: the first range to ask for draw ``i`` makes it
-    whole, at the whole run's lane count, from the stream's one generator,
-    and every range reads its rows of it as views.  Rows ``[lo:hi]`` of a
-    whole draw are what lanes ``lo`` to ``hi`` of the serial run read, so
-    the numbers do not depend on how the lanes are split.
-
-    Draw ``i`` is made only once every range has read draw ``i - 1``, and
-    dropped once every range has read it, so at most two whole draws are
-    held: the one being read and the one whose rows a range may still use.
-    The generator is opened at the first draw, inside a range's ``run``.
-    """
-
-    def __init__(self, stream, sizes):
-        self._stream = stream
-        self._gen = None
-        self._bounds = np.cumsum([0, *sizes]).tolist()
-        self._cond = threading.Condition()
-        self._read = [0] * len(sizes)  # draws each range has read
-        self._done = [False] * len(sizes)
-        self._held = None  # (index, method, shape[1:], whole draw)
-        self.error = None
-
-    def take(self, j, i, method, shape):
-        """Range ``j``'s rows of draw ``i``, asked for as a ``method`` draw
-        of ``shape``."""
-        lo, hi = self._bounds[j], self._bounds[j + 1]
-        if shape[0] != hi - lo:
-            raise _mismatch()
-        with self._cond:
-            while self._held is None or self._held[0] != i:
-                if self.error is not None:
-                    raise _Aborted()
-                if any(self._done):
-                    # a finished range would never read this draw
-                    raise _mismatch()
-                if self._held is None:
-                    if self._gen is None:
-                        self._gen = self._stream.generator()
-                    whole = getattr(self._gen, method)((self._bounds[-1], *shape[1:]))
-                    self._held = (i, method, shape[1:], whole)
-                else:
-                    self._cond.wait()  # until every range has read draw i - 1
-            _, kind, cols, whole = self._held
-            if (kind, cols) != (method, shape[1:]):
-                raise _mismatch()
-            self._read[j] += 1
-            if min(self._read) > i:
-                self._held = None
-                self._cond.notify_all()
-        return whole[lo:hi]
-
-    def finish(self, j):
-        with self._cond:
-            self._done[j] = True
-            self._cond.notify_all()
-
-    def abort(self, exc):
-        with self._cond:
-            if self.error is None and not isinstance(exc, _Aborted):
-                self.error = exc
-            self._cond.notify_all()
-
-
 class _LaneRange:
-    """Stream and generator of lane range ``j`` of :func:`map_lanes`: its
-    rows of each draw of the shared stream, in call order."""
+    """Stream and generator of lanes ``lo`` to ``hi`` of :func:`map_lanes`:
+    each draw is made whole, at ``total`` lanes, by the range's own
+    ``stream.generator()``, which is the serial run's, and rows ``lo:hi``
+    of it are returned.  ``calls`` records each draw's method and trailing
+    shape."""
 
-    def __init__(self, draws, j):
-        self._draws = draws
-        self._j = j
-        self._opened = False
-        self.count = 0
+    def __init__(self, stream, total, lo, hi):
+        self._stream, self._total, self._rows = stream, total, slice(lo, hi)
+        self._gen = None
+        self.size = hi - lo
+        self.calls = []
 
     def generator(self):
-        # the draws are shared in call order, so one generator per range
-        if self._opened:
+        # the draws follow the serial run's in call order: one generator
+        if self._gen is not None:
             raise ValueError("a lane range may open its generator only once")
-        self._opened = True
+        self._gen = self._stream.generator()
         return self
 
-    def _take(self, method, size):
-        i, self.count = self.count, self.count + 1
+    def _draw(self, method, size):
         shape = (size,) if np.ndim(size) == 0 else tuple(size)
-        return self._draws.take(self._j, i, method, shape)
+        if shape[:1] != (self.size,):
+            raise ValueError(f"a lane range of {self.size} lanes drew {shape}")
+        self.calls.append((method, shape[1:]))
+        return getattr(self._gen, method)((self._total, *shape[1:]))[self._rows]
 
     def standard_normal(self, size):
-        return self._take("standard_normal", size)
+        return self._draw("standard_normal", size)
 
     def random(self, size):
-        return self._take("random", size)
+        return self._draw("random", size)
 
 
 @dataclass(frozen=True)
@@ -215,7 +132,7 @@ class RngStream:
     Parameters
     ----------
     master_seed : int
-        64-bit experiment seed.
+        Nonnegative experiment seed.
     stream_id : int
         Nonnegative substream index (replica, batch, or grid-cell index).
     """
@@ -224,8 +141,10 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be nonnegative")
+        for name in ("master_seed", "stream_id"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise InvalidArgument(f"{name} must be a nonnegative integer, not {value!r}")
 
     def generator(self, *sub: int) -> np.random.Generator:
         """Instantiate the Philox generator for this stream.

@@ -111,8 +111,8 @@ def _load_layers():
 ])
 def test_family_draws_follow_replayed_pattern(kind, family):
     # the tracer files a generator under the simulate_multi call it is
-    # opened in: at any worker count a chunk's lanes must open one, inside
-    # a lane range's run, and draw whole at the chunk's lane count
+    # opened in: at any worker count each lane range of a chunk must open
+    # one, inside its run, and draw whole at the chunk's lane count
     layers = _load_layers()
     fam = family()
     running = []
@@ -125,15 +125,17 @@ def test_family_draws_follow_replayed_pattern(kind, family):
             running.remove(m)
 
     for workers in (1, 2):
-        calls, opened = [], []
+        opened = []  # (opened inside a run, that generator's calls)
 
         def generator(self, *sub):
-            opened.append(bool(running))
-            return layers.RecordingGenerator(RngStream(3, 0).generator(*sub), calls)
+            opened.append((bool(running), []))
+            return layers.RecordingGenerator(RngStream(3, 0).generator(*sub), opened[-1][1])
 
         map_lanes(run, type("Stream", (), {"generator": generator})(), 40, workers)
-        assert opened == [True]
-        assert layers.lane_profile(calls, layers.PATTERNS[kind]) == [40] * 8
+        assert len(opened) == workers
+        for inside, calls in opened:
+            assert inside
+            assert layers.lane_profile(calls, layers.PATTERNS[kind]) == [40] * 8
 
 
 @pytest.mark.parametrize("kind,batch", [("is", passage._is_batch),

@@ -354,6 +354,11 @@ _BAD_VALUES = {
     # one replica has no standard error to give a verdict with
     "tightness-replicas-1": ["tightness", "--family", "bounded-drift",
                              "--replicas", "1", "--step", "0.25"],
+    "seed-negative-estimate": ["ou-estimate", "--N", "2", "--step", "0.01", "--seed=-1"],
+    "seed-negative-constant": ["tightness", "--family", "constant", "--seed=-1"],
+    "seed-negative-drift-w2": ["tightness", "--family", "bounded-drift", "--step", "0.25",
+                               "--workers", "2", "--seed=-1"],
+    "seed-negative-measure": ["measure-check", "--seed=-1"],
 }
 
 

@@ -115,6 +115,10 @@ def test_counting_bound_enforced():
         counting_density(path, lambda t: t, lambda s: 2.0, 1.0, u_bound=1.0)
     with pytest.raises(InvalidArgument):
         counting_density(path, lambda t: t, lambda s: 0.1, 1.0, u_bound=-1.0)
+    # a bound of NaN or inf would let any u through
+    for bound in (math.nan, math.inf):
+        with pytest.raises(InvalidArgument):
+            counting_density(path, lambda t: t, lambda s: 5.0, 1.0, u_bound=bound)
 
 
 def test_counting_requires_unit_marks():
